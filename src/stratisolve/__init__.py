@@ -36,6 +36,7 @@ from .oracle import (
     todd_coxeter,
 )
 from .order_engine import OrderAssignment, resolve_orders
+from .pipeline import compile
 from .presentation import (
     Presentation,
     abelianization,

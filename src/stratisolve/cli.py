@@ -30,10 +30,9 @@ from .errors import (
     WordSyntaxError,
     ZeroLabelError,
 )
-from .graph_model import canonical_tree, normalize_orientations, parse_graph
+from .graph_model import parse_graph
 from .oracle import (
     Budget,
-    DEFAULT_BUDGET,
     cayley_wp,
     derive_trivial,
     finite_quotient_search,
@@ -41,7 +40,8 @@ from .oracle import (
     todd_coxeter,
 )
 from .order_engine import resolve_orders
-from .presentation import format_word, natural_presentation, parse_word
+from .pipeline import compile
+from .presentation import format_word, parse_word
 from .serre_solver import word_problem
 
 EXIT_OK = 0
@@ -93,10 +93,6 @@ def _emit(report: dict, as_json: bool) -> None:
         print(f"{key}: {value}")
 
 
-def _budget(args) -> Budget:
-    return args.budget if args.budget is not None else DEFAULT_BUDGET
-
-
 # -- subcommands ----------------------------------------------------------
 
 def cmd_validate(args) -> int:
@@ -115,14 +111,11 @@ def cmd_validate(args) -> int:
 
 
 def cmd_present(args) -> int:
-    g = _load_graph(args.graph)
-    tree = canonical_tree(g)
-    g, _ = normalize_orientations(g, tree)
-    p = natural_presentation(g, tree)
+    p = compile(_load_graph(args.graph)).pres
     report = {
         "command": "present",
-        "basepoint": tree.basepoint,
-        "tree_edges": sorted(tree.tree_edges),
+        "basepoint": p.tree.basepoint,
+        "tree_edges": sorted(p.tree.tree_edges),
         "generators": list(p.generators),
         "relators": [format_word(r) for r in p.relators],
     }
@@ -132,12 +125,11 @@ def cmd_present(args) -> int:
 
 def cmd_solve(args) -> int:
     g = _load_graph(args.graph)
-    verdict = word_problem(g, args.word, _budget(args))
+    verdict = word_problem(g, args.word, args.budget)
     report = {
         "command": "solve",
         "word": args.word,
         "verdict": verdict.label,
-        "certified": verdict.certified,
         "reduced_length": verdict.reduced_length,
     }
     if args.trace:
@@ -156,8 +148,8 @@ def cmd_solve(args) -> int:
 
 def cmd_order(args) -> int:
     g = _load_graph(args.graph)
-    oa = resolve_orders(g, _budget(args))
     g.black(args.black)
+    oa = resolve_orders(g, args.budget)
     report = {
         "command": "order",
         "black": args.black,
@@ -174,21 +166,21 @@ def cmd_order(args) -> int:
 
 def cmd_abelian(args) -> int:
     g = _load_graph(args.graph)
-    value = is_abelian(g, _budget(args))
+    value = is_abelian(g, args.budget)
     _emit({"command": "abelian", "abelian": value}, args.json)
     return EXIT_OK
 
 
 def cmd_sc(args) -> int:
     g = _load_graph(args.graph)
-    value = is_simply_connected(g, _budget(args))
+    value = is_simply_connected(g, args.budget)
     _emit({"command": "sc", "simply_connected": value}, args.json)
     return EXIT_OK
 
 
 def cmd_wedge(args) -> int:
     g = _load_graph(args.graph)
-    n = wedge_check(g, _budget(args))
+    n = wedge_check(g, args.budget)
     report = {
         "command": "wedge",
         "simply_connected": n is not None,
@@ -200,7 +192,7 @@ def cmd_wedge(args) -> int:
 
 def cmd_prune(args) -> int:
     g = _load_graph(args.graph)
-    rep = prune(g, _budget(args))
+    rep = prune(g, args.budget)
     report = {
         "command": "prune",
         "success": rep.success,
@@ -216,16 +208,14 @@ def cmd_prune(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _load_graph(args.graph)
-    tree = canonical_tree(g)
-    g, _ = normalize_orientations(g, tree)
-    p = natural_presentation(g, tree)
+    compiled = compile(_load_graph(args.graph), args.budget)
+    p = compiled.pres
     if args.subop == "derive":
         if args.arg is None:
             print("error: oracle derive needs a word", file=sys.stderr)
             return EXIT_USAGE
         w = parse_word(args.arg, p)
-        d = derive_trivial(p, w, _budget(args))
+        d = derive_trivial(p, w, compiled.budget)
         report = {
             "command": "oracle derive",
             "word": args.arg,

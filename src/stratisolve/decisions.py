@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .errors import NotApplicableError, NotZeroTerminalError
-from .graph_model import StratifoldGraph, canonical_tree, normalize_orientations
-from .presentation import natural_presentation
+from .errors import InternalError, NotApplicableError, NotZeroTerminalError
+from .graph_model import StratifoldGraph
+from .pipeline import compile
 from .serre_solver import word_problem
 
 
@@ -27,15 +27,12 @@ def _solve(g: StratifoldGraph, word_text: str, budget) -> bool:
 def is_abelian(g: StratifoldGraph, budget=None) -> bool:
     """True iff every pairwise commutator of the natural generators is
     trivial.  Raises UndeterminedError when orders cannot be certified."""
-    tree = canonical_tree(g)
-    g_norm, _ = normalize_orientations(g, tree)
-    pres = natural_presentation(g_norm, tree)
-    gens = pres.generators
+    gens = compile(g, budget).pres.generators
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             a, b = gens[i], gens[j]
             comm = f"{a} * {b} * {a}^-1 * {b}^-1"
-            if not _solve(g_norm, comm, budget):
+            if not _solve(g, comm, budget):
                 return False
     return True
 
@@ -61,9 +58,7 @@ def zero_terminal_order(g: StratifoldGraph, black: str, budget=None) -> int:
     for d in sorted(k for k in range(1, bound + 1) if bound % k == 0):
         if _solve(g, f"b.{black}^{d}", budget):
             return d
-    raise AssertionError(
-        f"b.{black}^{bound} must be trivial (disk relation)"
-    )
+    raise InternalError(f"b.{black}^{bound} must be trivial (disk relation)")
 
 
 @dataclass(frozen=True)
@@ -156,7 +151,8 @@ def prune(g: StratifoldGraph, budget=None) -> PruneReport:
             if len(edges) == 1:
                 pair = (edges[0].black, w)
                 break
-        assert pair is not None, "tree with white terminals lost its leaves"
+        if pair is None:
+            raise InternalError("tree with white terminals lost its leaves")
         black, white = pair
         order = zero_terminal_order(comp, black, budget)
         if order != 1:
@@ -177,14 +173,10 @@ def is_simply_connected(g: StratifoldGraph, budget=None) -> bool:
     conditions, cross-checked against pruning when the screen passes."""
     if _screen(g) is not None:
         return False
-    tree = canonical_tree(g)
-    g_norm, _ = normalize_orientations(g, tree)
-    pres = natural_presentation(g_norm, tree)
-    result = all(_solve(g_norm, gen, budget) for gen in pres.generators)
-    report = prune(g, budget)
-    assert report.success == result, (
-        "pruning disagrees with the generator check"
-    )
+    gens = compile(g, budget).pres.generators
+    result = all(_solve(g, gen, budget) for gen in gens)
+    if prune(g, budget).success != result:
+        raise InternalError("pruning disagrees with the generator check")
     return result
 
 

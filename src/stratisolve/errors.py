@@ -5,6 +5,11 @@ class StratisolveError(Exception):
     """Base class for all package errors."""
 
 
+class InternalError(StratisolveError):
+    """An invariant the algorithms guarantee was found broken: a bug, never
+    an answer."""
+
+
 # -- graph file / graph structure -------------------------------------------
 
 class GraphSyntaxError(StratisolveError):
@@ -57,10 +62,6 @@ class TreeEdgeStableError(WordSyntaxError):
 
 class UnknownLetterError(StratisolveError):
     """A handle word uses a letter the handle does not know."""
-
-
-class UncertifiedOrdersError(StratisolveError):
-    pass
 
 
 class InjectivityError(StratisolveError):

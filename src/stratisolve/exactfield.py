@@ -10,6 +10,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from .errors import InternalError
+
 
 # -- integer polynomials (dense coefficient lists, constant term first) --------
 
@@ -34,11 +36,13 @@ def _poly_divexact(a: list, b: list) -> list:
     out = [0] * (len(a) - len(b) + 1)
     for i in range(len(a) - len(b), -1, -1):
         q, r = divmod(a[i + len(b) - 1], b[-1])
-        assert r == 0, "non-exact polynomial division"
+        if r:
+            raise InternalError("non-exact polynomial division")
         out[i] = q
         for j, y in enumerate(b):
             a[i + j] -= q * y
-    assert all(x == 0 for x in a), "non-exact polynomial division"
+    if any(a):
+        raise InternalError("non-exact polynomial division")
     return _poly_trim(out)
 
 

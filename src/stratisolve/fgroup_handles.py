@@ -28,8 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd, lcm
+from types import MappingProxyType
+from typing import Mapping
 
-from .errors import UnknownLetterError
+from .errors import InternalError, UnknownLetterError
 from .exactfield import Mat3, RealCyclotomicField
 from .local_groups import (
     FreeProductOfCyclics,
@@ -38,8 +40,9 @@ from .local_groups import (
     FreeAbelianRank2,
     cyclic_group,
     free_group,
+    length_law_exponent,
 )
-from .words import EMPTY, Word, concat, free_reduce, inverse, power
+from .words import EMPTY, Word, concat, free_reduce, genus_word, inverse, power
 
 
 # ---------------------------------------------------------------------------
@@ -210,14 +213,7 @@ class AmalgamHandle(GroupHandle):
         g_sylls, g_k = self.pinch_reduce(gp)
         if not g_sylls:
             return 0 if g_k == 0 else None
-        if len(g_sylls) % len(r_sylls):
-            return None
-        k = len(g_sylls) // len(r_sylls)
-        if self.wp(concat(gp, power(inverse(r_word), k))):
-            return k
-        if self.wp(concat(gp, power(r_word, k))):
-            return -k
-        return None
+        return length_law_exponent(self, gp, r_word, len(g_sylls), len(r_sylls))
 
 
 # ---------------------------------------------------------------------------
@@ -342,14 +338,7 @@ class HNNHandle(GroupHandle):
         n_g = self._t_count(g_toks)
         if n_g == 0:
             return 0 if self.base.wp(g_toks[0]) else None
-        if n_r == 0 or n_g % n_r:
-            return None
-        k = n_g // n_r
-        if self.wp(concat(gp, power(inverse(r_word), k))):
-            return k
-        if self.wp(concat(gp, power(r_word, k))):
-            return -k
-        return None
+        return length_law_exponent(self, gp, r_word, n_g, n_r)
 
     def _toks_to_word(self, toks) -> Word:
         pairs: list = []
@@ -419,12 +408,14 @@ class TriangleHandle(GroupHandle):
             names[1]: s1 * s3,
             names[2]: s2 * s1,
         }
-        ident = Mat3.identity(f)
-        assert all((s * s).is_identity() for s in refl), "s_i^2 != I"
+        if not all((s * s).is_identity() for s in refl):
+            raise InternalError("reflection matrices: s_i^2 != I")
         prod = self._rot[names[0]] * self._rot[names[1]] * self._rot[names[2]]
-        assert prod == ident, "c1 c2 c3 != I"
+        if not prod.is_identity():
+            raise InternalError("reflection matrices: c1 c2 c3 != I")
         for name, k in zip(names, orders):
-            assert self._rot[name].pow(k).is_identity(), f"{name}^{k} != I"
+            if not self._rot[name].pow(k).is_identity():
+                raise InternalError(f"reflection matrices: {name}^{k} != I")
 
     @property
     def letters(self):
@@ -455,28 +446,17 @@ class TriangleHandle(GroupHandle):
 
     def cyclic_membership(self, g: Word, t: Word):
         n = self.elem_order(t)
+        if n == 0:
+            # edge groups at a triangle handle are finite, so the solver
+            # never asks; the base class refuses infinite-order targets
+            return super().cyclic_membership(g, t)
         mg = self.matrix(g)
         mt = self.matrix(t)
-        if n >= 1:
-            acc = Mat3.identity(self.field)
-            for k in range(n):
-                if acc == mg:
-                    return k
-                acc = acc * mt
-            return None
-        # infinite-order target: bounded scan (the solver never needs this
-        # path; edge groups touching a triangle handle are finite)
         acc = Mat3.identity(self.field)
-        for k in range(129):
+        for k in range(n):
             if acc == mg:
                 return k
             acc = acc * mt
-        acc = Mat3.identity(self.field)
-        mt_inv = self.matrix(inverse(t))
-        for k in range(1, 129):
-            acc = acc * mt_inv
-            if acc == mg:
-                return -k
         return None
 
 
@@ -514,8 +494,12 @@ class WhiteHandle:
     handle words and a tag telling whether letter orders are computed."""
 
     handle: GroupHandle
-    boundary_images: dict[str, Word]
+    boundary_images: Mapping[str, Word]
     kind: str
+
+    def __post_init__(self):
+        images = MappingProxyType(dict(self.boundary_images))
+        object.__setattr__(self, "boundary_images", images)
 
     @property
     def computed_orders(self) -> bool:
@@ -525,21 +509,9 @@ class WhiteHandle:
         return self.handle.elem_order(self.boundary_images[name])
 
 
-def _genus_word(spec: WhiteGroupSpec) -> Word:
-    ys = spec.surface_names
-    if spec.genus > 0:
-        parts = []
-        for i in range(spec.genus):
-            a, b = ys[2 * i], ys[2 * i + 1]
-            parts.append(((a, 1), (b, 1), (a, -1), (b, -1)))
-        return concat(*parts)
-    if spec.genus < 0:
-        return tuple((y, 2) for y in ys)
-    return EMPTY
-
-
 def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
     images = {name: ((name, 1),) for name in spec.boundary_names}
+    q = genus_word(spec.surface_names, spec.genus)
 
     # (1a) boundary curves of order 1 vanish
     if any(k == 1 for k in spec.boundary_orders):
@@ -570,7 +542,7 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
         before = tuple((spec.boundary_names[i], 1) for i in range(j))
         after = tuple((spec.boundary_names[i], 1) for i in range(j + 1, spec.p))
         images[spec.boundary_names[j]] = concat(
-            inverse(before), inverse(concat(after, _genus_word(spec)))
+            inverse(before), inverse(concat(after, q))
         )
         return WhiteHandle(handle, images, "free_product")
 
@@ -583,7 +555,7 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
             )
             b = free_group(spec.surface_names)
             z_a = tuple((c, 1) for c in spec.boundary_names)
-            z_b = inverse(_genus_word(spec))
+            z_b = inverse(q)
             return WhiteHandle(AmalgamHandle(a, b, z_a, z_b), images, "amalgam")
         if p == 1:
             c = spec.boundary_names[0]
@@ -593,11 +565,7 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
                 # relation c [y1,y2]...[y_{2g-1},y_{2g}] = 1 becomes the HNN
                 # relation y_{2g}^-1 (P y_{2g-1}) y_{2g} = y_{2g-1}
                 base = FreeProductOfCyclics(((c, k),) + tuple((y, 0) for y in ys[:-1]))
-                pre = [(c, 1)]
-                for i in range(g - 1):
-                    a_, b_ = ys[2 * i], ys[2 * i + 1]
-                    pre.extend([(a_, 1), (b_, 1), (a_, -1), (b_, -1)])
-                u = free_reduce(pre + [(ys[-2], 1)])
+                u = concat(((c, 1),), genus_word(ys[:-2], g - 1), ((ys[-2], 1),))
                 v = ((ys[-2], 1),)
                 return WhiteHandle(HNNHandle(base, ys[-1], u, v), images, "hnn")
             m = -g
@@ -608,7 +576,7 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
                 return WhiteHandle(handle, images, "free_product")
             a = FreeProductOfCyclics(((c, k),) + tuple((y, 0) for y in ys[:-1]))
             b = cyclic_group(ys[-1], 0)
-            z_a = free_reduce([(c, 1)] + [(y, 2) for y in ys[:-1]])
+            z_a = concat(((c, 1),), genus_word(ys[:-1], g + 1))
             z_b = ((ys[-1], -2),)
             return WhiteHandle(AmalgamHandle(a, b, z_a, z_b), images, "amalgam")
         # p == 0, closed surface of genus g != 0
@@ -620,18 +588,14 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
         if g > 1:
             a = free_group(ys[:2])
             b = free_group(ys[2:])
-            z_a = concat(((ys[0], 1), (ys[1], 1), (ys[0], -1), (ys[1], -1)))
-            tail = []
-            for i in range(1, g):
-                x, y = ys[2 * i], ys[2 * i + 1]
-                tail.extend([(x, 1), (y, 1), (x, -1), (y, -1)])
-            z_b = inverse(free_reduce(tail))
+            z_a = genus_word(ys[:2], 1)
+            z_b = inverse(genus_word(ys[2:], g - 1))
             return WhiteHandle(AmalgamHandle(a, b, z_a, z_b), images, "amalgam")
         # g <= -2: split off y1 (g = -2 is the Klein bottle amalgam)
         a = cyclic_group(ys[0], 0)
         b = free_group(ys[1:])
         z_a = ((ys[0], 2),)
-        z_b = inverse(tuple((y, 2) for y in ys[1:]))
+        z_b = inverse(genus_word(ys[1:], g + 1))
         return WhiteHandle(AmalgamHandle(a, b, z_a, z_b), images, "amalgam")
 
     # n == 0, genus 0: polygon cases

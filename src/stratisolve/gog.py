@@ -19,17 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
+from types import MappingProxyType
 
-from .errors import (
-    InjectivityError,
-    UncertifiedOrdersError,
-    UnknownGeneratorError,
-)
+from .errors import InjectivityError, InternalError, UnknownGeneratorError
 from .fgroup_handles import WhiteGroupSpec, WhiteHandle, white_handle
 from .graph_model import MaximalTree, StratifoldGraph
 from .local_groups import FreeProductOfCyclics, solve_congruence
-from .presentation import surface_gen_count
-from .words import EMPTY, Word, concat, inverse, power
+from .presentation import surface_names
+from .words import EMPTY, Word, concat, power
 
 
 def edge_group_order(sigma: int, label: int) -> int:
@@ -50,9 +47,7 @@ def build_white_handle(
             edge_group_order(sigma[e.black], e.label) for e in edges
         ),
         genus=g.white(w).genus,
-        surface_names=tuple(
-            f"y.{w}.{i + 1}" for i in range(surface_gen_count(g.white(w).genus))
-        ),
+        surface_names=surface_names(w, g.white(w).genus),
     )
     return white_handle(spec)
 
@@ -89,20 +84,20 @@ class GraphOfGroups:
                  sigma: dict[str, int]):
         self.graph = graph
         self.tree = tree
-        self.sigma = dict(sigma)
+        self.sigma = MappingProxyType(dict(sigma))
         self.basepoint = tree.basepoint
-        self.black_handles = {
+        self.black_handles = MappingProxyType({
             b: FreeProductOfCyclics(((f"b.{b}", self.sigma[b]),))
             for b in graph.black_names()
-        }
-        self.white_handles = {
+        })
+        self.white_handles = MappingProxyType({
             w: build_white_handle(graph, w, self.sigma)
             for w in graph.white_names()
-        }
-        self.edge_order = {
+        })
+        self.edge_order = MappingProxyType({
             e.name: edge_group_order(self.sigma[e.black], e.label)
             for e in graph.edges
-        }
+        })
         self._whites = set(graph.white_names())
         self._check_injectivity()
 
@@ -168,23 +163,6 @@ class GraphOfGroups:
         return power(self.white_image(edge_name), s)
 
 
-def build_gog(g: StratifoldGraph, t: MaximalTree, orders) -> GraphOfGroups:
-    """Build the graph of groups from a resolved order assignment.
-
-    ``orders`` is either a plain black->sigma dict (trusted) or an
-    OrderAssignment, which must have exact status.
-    """
-    if hasattr(orders, "status"):
-        if orders.status != "exact":
-            raise UncertifiedOrdersError(
-                f"order assignment is not exact: {orders.status}"
-            )
-        sigma = orders.sigma
-    else:
-        sigma = orders
-    return GraphOfGroups(g, t, sigma)
-
-
 # -- loop-word translation ------------------------------------------------
 
 
@@ -201,7 +179,8 @@ class _LoopBuilder:
     def add_edge(self, de: DirectedEdge) -> None:
         e = self.gog.graph.edge(de.edge)
         here, there = (e.white, e.black) if de.to_black else (e.black, e.white)
-        assert self.vertices[-1] == here, "loop word lost its footing"
+        if self.vertices[-1] != here:
+            raise InternalError("loop word lost its footing")
         self.edges.append(de)
         self.vertices.append(there)
         self.vertex_words.append(EMPTY)
@@ -270,13 +249,3 @@ def to_loop_word(gog: GraphOfGroups, w: Word) -> LoopWord:
         else:
             raise UnknownGeneratorError(f"unknown generator {name!r}")
     return b.loop()
-
-
-def check_loop(gog: GraphOfGroups, lw: LoopWord) -> None:
-    """Assert structural validity of a loop word (used by tests/replays)."""
-    assert len(lw.vertices) == len(lw.vertex_words) == len(lw.edges) + 1
-    assert lw.vertices[0] == lw.vertices[-1] == gog.basepoint
-    for i, de in enumerate(lw.edges):
-        e = gog.graph.edge(de.edge)
-        src, dst = (e.white, e.black) if de.to_black else (e.black, e.white)
-        assert lw.vertices[i] == src and lw.vertices[i + 1] == dst

@@ -253,9 +253,3 @@ def normalize_orientations(
     )
     new_labels = {name: abs(g.edge(name).label) for name in flips}
     return g.replace_labels(new_labels), flips
-
-
-def black_partition(g: StratifoldGraph, b: str) -> tuple[int, ...]:
-    """Multiset of |label| over the edges at black vertex b, sorted."""
-    g.black(b)  # raises UnknownVertexError
-    return tuple(sorted(abs(e.label) for e in g.edges_at_black(b)))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import UnknownLetterError
-from .words import EMPTY, Word, concat, free_reduce, inverse, power
+from .words import Word, concat, inverse, power
 
 
 class GroupHandle:
@@ -53,6 +53,25 @@ class GroupHandle:
             f"{type(self).__name__} has no membership procedure for "
             "infinite-order targets"
         )
+
+
+def length_law_exponent(
+    handle: GroupHandle, g: Word, r: Word, n_g: int, n_r: int
+):
+    """k with g = r^k, or None, for a cyclically reduced r of reduced length
+    n_r and a nontrivial g of reduced length n_g.
+
+    In free products, amalgams and HNN extensions the length law
+    l(r^k) = |k| l(r) holds for cyclically reduced r, so only k = +-n_g/n_r
+    can work and both signs are checked."""
+    if n_r == 0 or n_g % n_r:
+        return None
+    k = n_g // n_r
+    if handle.wp(concat(g, power(inverse(r), k))):
+        return k
+    if handle.wp(concat(g, power(r, k))):
+        return -k
+    return None
 
 
 def solve_congruence(a: int, b: int, n: int):
@@ -110,9 +129,6 @@ class FreeProductOfCyclics(GroupHandle):
                 out.append((name, exp))
         return tuple(out)
 
-    def syllable_length(self, w: Word) -> int:
-        return len(self.normal_form(w))
-
     def wp(self, w: Word) -> bool:
         return not self.normal_form(w)
 
@@ -167,14 +183,7 @@ class FreeProductOfCyclics(GroupHandle):
             return solve_congruence(r[0][1], gp[0][1], n)
         if not gp:
             return 0
-        if len(gp) % len(r):
-            return None
-        k = len(gp) // len(r)
-        if self.wp(concat(gp, power(inverse(r), k))):
-            return k
-        if self.wp(concat(gp, power(r, k))):
-            return -k
-        return None
+        return length_law_exponent(self, gp, r, len(gp), len(r))
 
 
 def cyclic_group(name: str, order: int) -> FreeProductOfCyclics:

@@ -26,16 +26,16 @@ guess.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 from math import gcd
+from types import MappingProxyType
+from typing import Mapping
 
 from .errors import UndeterminedError
 from .gog import build_white_handle, edge_group_order
-from .graph_model import StratifoldGraph, canonical_tree, normalize_orientations
+from .graph_model import StratifoldGraph
 from .oracle import (
     Budget,
-    DEFAULT_BUDGET,
     Derivation,
     derivation_gcd,
     derive_trivial,
@@ -44,19 +44,26 @@ from .presentation import (
     Presentation,
     ab_element_order,
     abelianization,
-    natural_presentation,
 )
 
 
 @dataclass(frozen=True)
 class OrderAssignment:
-    sigma: dict[str, int]
+    """Read-only: one assignment is shared by every caller of the memo."""
+
+    sigma: Mapping[str, int]
     status: str  # 'exact' | 'undetermined'
     unresolved: tuple[str, ...]
-    certificates: dict[str, Derivation]
+    certificates: Mapping[str, Derivation]
     #: order of each b in the abelianized group (0 = infinite); a cheap
     #: independently-computed divisor of the true order
-    ab_evidence: dict[str, int] = field(default_factory=dict)
+    ab_evidence: Mapping[str, int]
+
+    def __post_init__(self):
+        for name in ("sigma", "certificates", "ab_evidence"):
+            object.__setattr__(
+                self, name, MappingProxyType(dict(getattr(self, name)))
+            )
 
     def require_exact(self) -> None:
         if self.status != "exact":
@@ -153,16 +160,16 @@ def validity_check(
 def resolve_orders(
     g: StratifoldGraph, budget: Budget | None = None
 ) -> OrderAssignment:
-    """Memoized: resolution is deterministic in (graph, budget), and the
-    certificate search dominates pipeline cost."""
-    return _resolve_orders(g, budget or DEFAULT_BUDGET)
+    """Orders of the singular circles of ``g``, memoized with its compiled
+    pipeline."""
+    from .pipeline import compile
+
+    return compile(g, budget).orders
 
 
-@lru_cache(maxsize=256)
-def _resolve_orders(g: StratifoldGraph, budget: Budget) -> OrderAssignment:
-    tree = canonical_tree(g)
-    g, _ = normalize_orientations(g, tree)
-    pres = natural_presentation(g, tree)
+def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
+    """Resolve the orders of a natural presentation over a normalized graph."""
+    g = pres.graph
     certs = seed_exponents(g, pres, budget)
     unresolved: set[str] = set()
     # fixpoint: each accepted violation strictly shrinks some sigma by a

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .errors import TreeEdgeStableError, UnknownGeneratorError, WordSyntaxError
 from .graph_model import MaximalTree, StratifoldGraph
 from .snf import smith_normal_form
-from .words import EMPTY, Word, concat, free_reduce, inverse, power
+from .words import EMPTY, Word, concat, free_reduce, genus_word
 
 
 def surface_gen_count(genus: int) -> int:
@@ -33,18 +33,9 @@ def surface_gen_count(genus: int) -> int:
     return -genus
 
 
-def genus_word(white: str, genus: int) -> Word:
-    """The word q: commutator blocks for positive genus, squares for negative."""
-    if genus > 0:
-        parts = []
-        for i in range(genus):
-            a = f"y.{white}.{2 * i + 1}"
-            b = f"y.{white}.{2 * i + 2}"
-            parts.append(((a, 1), (b, 1), (a, -1), (b, -1)))
-        return concat(*parts)
-    if genus < 0:
-        return tuple((f"y.{white}.{i + 1}", 2) for i in range(-genus))
-    return EMPTY
+def surface_names(white: str, genus: int) -> tuple[str, ...]:
+    """The surface generators ``y.<white>.1`` ... of a white vertex."""
+    return tuple(f"y.{white}.{i + 1}" for i in range(surface_gen_count(genus)))
 
 
 @dataclass(frozen=True)
@@ -65,9 +56,7 @@ def natural_presentation(g: StratifoldGraph, t: MaximalTree) -> Presentation:
     gens: list[str] = [f"b.{b}" for b in sorted(g.black_names())]
     for w in sorted(g.white_names()):
         gens.extend(f"c.{e.name}" for e in sorted(g.edges_at_white(w), key=lambda e: e.name))
-        gens.extend(
-            f"y.{w}.{i + 1}" for i in range(surface_gen_count(g.white(w).genus))
-        )
+        gens.extend(surface_names(w, g.white(w).genus))
     non_tree = sorted(e.name for e in g.edges if e.name not in t.tree_edges)
     gens.extend(f"t.{e}" for e in non_tree)
 
@@ -77,7 +66,10 @@ def natural_presentation(g: StratifoldGraph, t: MaximalTree) -> Presentation:
             (f"c.{e.name}", 1)
             for e in sorted(g.edges_at_white(w), key=lambda e: e.name)
         )
-        relators.append(concat(boundary, genus_word(w, g.white(w).genus)))
+        genus = g.white(w).genus
+        relators.append(
+            concat(boundary, genus_word(surface_names(w, genus), genus))
+        )
     for e in sorted(g.edges, key=lambda e: e.name):
         if e.name in t.tree_edges:
             relators.append(

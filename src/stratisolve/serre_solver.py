@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .gog import GraphOfGroups, LoopWord, to_loop_word
-from .graph_model import (
-    StratifoldGraph,
-    canonical_tree,
-    normalize_orientations,
-)
-from .words import Word, concat
+from .graph_model import StratifoldGraph
+from .pipeline import compile
+from .presentation import parse_word
+from .words import concat, inverse
 
 
 @dataclass(frozen=True)
@@ -35,7 +33,6 @@ class SpliceStep:
 @dataclass(frozen=True)
 class Verdict:
     trivial: bool
-    certified: bool
     reduced_length: int
     trace: tuple[SpliceStep, ...]
     final_loop: LoopWord
@@ -43,6 +40,20 @@ class Verdict:
     @property
     def label(self) -> str:
         return "trivial" if self.trivial else "nontrivial"
+
+
+def _splice(gog: GraphOfGroups, lw: LoopWord, i: int, witness: int) -> LoopWord:
+    """Remove the backtracking pair at edge positions (i, i+1), carrying the
+    edge-group element with the witness exponent to the near end."""
+    de = lw.edges[i]
+    near_end = "white" if de.to_black else "black"
+    carried = gog.transport(de.edge, near_end, witness)
+    merged = concat(lw.vertex_words[i], carried, lw.vertex_words[i + 2])
+    return LoopWord(
+        lw.vertices[: i + 1] + lw.vertices[i + 3 :],
+        lw.vertex_words[:i] + (merged,) + lw.vertex_words[i + 3 :],
+        lw.edges[:i] + lw.edges[i + 2 :],
+    )
 
 
 def reduce_once(gog: GraphOfGroups, lw: LoopWord):
@@ -55,23 +66,14 @@ def reduce_once(gog: GraphOfGroups, lw: LoopWord):
             continue
         de = lw.edges[i]
         mid_end = "black" if de.to_black else "white"
-        near_end = "white" if de.to_black else "black"
-        r_mid = lw.vertex_words[i + 1]
-        s = gog.edge_membership(de.edge, mid_end, r_mid)
+        s = gog.edge_membership(de.edge, mid_end, lw.vertex_words[i + 1])
         if s is None:
             continue
-        carried = gog.transport(de.edge, near_end, s)
-        merged = concat(lw.vertex_words[i], carried, lw.vertex_words[i + 2])
-        new = LoopWord(
-            lw.vertices[: i + 1] + lw.vertices[i + 3 :],
-            lw.vertex_words[:i] + (merged,) + lw.vertex_words[i + 3 :],
-            lw.edges[:i] + lw.edges[i + 2 :],
-        )
-        return new, SpliceStep(i, de.edge, mid_end, s)
+        return _splice(gog, lw, i, s), SpliceStep(i, de.edge, mid_end, s)
     return None
 
 
-def solve(gog: GraphOfGroups, lw: LoopWord, certified: bool = True) -> Verdict:
+def solve(gog: GraphOfGroups, lw: LoopWord) -> Verdict:
     """Decide triviality of a based loop by repeated splicing."""
     trace: list[SpliceStep] = []
     while True:
@@ -84,7 +86,7 @@ def solve(gog: GraphOfGroups, lw: LoopWord, certified: bool = True) -> Verdict:
         trivial = gog.vertex_handle(gog.basepoint).wp(lw.vertex_words[0])
     else:
         trivial = False
-    return Verdict(trivial, certified, lw.edge_length, tuple(trace), lw)
+    return Verdict(trivial, lw.edge_length, tuple(trace), lw)
 
 
 def replay_trace(gog: GraphOfGroups, lw: LoopWord, verdict: Verdict) -> bool:
@@ -105,23 +107,14 @@ def replay_trace(gog: GraphOfGroups, lw: LoopWord, verdict: Verdict) -> bool:
         mid_end = "black" if de.to_black else "white"
         if mid_end != step.end:
             return False
-        near_end = "white" if de.to_black else "black"
-        carried = gog.transport(de.edge, near_end, step.witness)
         # the recorded witness must represent the same edge-group element
         probe = concat(
             lw.vertex_words[i + 1],
-            tuple((n, -e) for n, e in reversed(
-                gog.transport(de.edge, mid_end, step.witness)
-            )),
+            inverse(gog.transport(de.edge, mid_end, step.witness)),
         )
         if not gog.vertex_handle(lw.vertices[i + 1]).wp(probe):
             return False
-        merged = concat(lw.vertex_words[i], carried, lw.vertex_words[i + 2])
-        lw = LoopWord(
-            lw.vertices[: i + 1] + lw.vertices[i + 3 :],
-            lw.vertex_words[:i] + (merged,) + lw.vertex_words[i + 3 :],
-            lw.edges[:i] + lw.edges[i + 2 :],
-        )
+        lw = _splice(gog, lw, i, step.witness)
     if lw.edge_length != verdict.reduced_length:
         return False
     if verdict.trivial:
@@ -132,18 +125,11 @@ def replay_trace(gog: GraphOfGroups, lw: LoopWord, verdict: Verdict) -> bool:
 
 
 def word_problem(g: StratifoldGraph, word_text: str, budget=None) -> Verdict:
-    """Full pipeline: tree, presentation, order resolution, graph of groups,
-    loop translation, reduction.  Raises UndeterminedError when the order
-    engine cannot certify an exact assignment within budget."""
-    from .order_engine import resolve_orders
-    from .presentation import natural_presentation, parse_word
-
-    tree = canonical_tree(g)
-    g_norm, _ = normalize_orientations(g, tree)
-    pres = natural_presentation(g_norm, tree)
-    w = parse_word(word_text, pres)
-    orders = resolve_orders(g_norm, budget)
-    orders.require_exact()
-    gog_ = GraphOfGroups(g_norm, tree, orders.sigma)
-    lw = to_loop_word(gog_, w)
-    return solve(gog_, lw, certified=True)
+    """Full pipeline: parse the word against the compiled presentation,
+    then translate and reduce it in the compiled graph of groups.  Raises
+    UndeterminedError when the order engine cannot certify an exact
+    assignment within budget."""
+    compiled = compile(g, budget)
+    w = parse_word(word_text, compiled.pres)
+    gog = compiled.gog
+    return solve(gog, to_loop_word(gog, w))

@@ -7,7 +7,7 @@ distinct generator names and no exponent is zero.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Pair = Tuple[str, int]
 Word = Tuple[Pair, ...]
@@ -50,6 +50,18 @@ def power(w: Iterable[Pair], n: int) -> Word:
     if n < 0:
         w, n = inverse(w), -n
     return free_reduce(w * n)
+
+
+def genus_word(names: Sequence[str], genus: int) -> Word:
+    """The surface word q over the given surface generators: commutators
+    [y1,y2]...[y_{2g-1},y_{2g}] for genus g > 0, squares y1^2...y_|g|^2 for
+    genus g < 0, and the empty word for genus 0."""
+    if genus < 0:
+        return tuple((y, 2) for y in names[:-genus])
+    return concat(*(
+        ((a, 1), (b, 1), (a, -1), (b, -1))
+        for a, b in zip(names[0:2 * genus:2], names[1:2 * genus:2])
+    ))
 
 
 def word_length(w: Iterable[Pair]) -> int:

@@ -11,12 +11,8 @@ import pytest
 
 from stratisolve.decisions import is_simply_connected, prune, wedge_check
 from stratisolve.fgroup_handles import AmalgamHandle, TriangleHandle
-from stratisolve.gog import GraphOfGroups, to_loop_word
-from stratisolve.graph_model import (
-    canonical_tree,
-    normalize_orientations,
-    parse_graph,
-)
+from stratisolve.gog import to_loop_word
+from stratisolve.graph_model import parse_graph
 from stratisolve.oracle import (
     Budget,
     cayley_wp,
@@ -25,11 +21,12 @@ from stratisolve.oracle import (
     todd_coxeter,
 )
 from stratisolve.order_engine import resolve_orders
+from stratisolve.pipeline import compile
 from stratisolve.presentation import (
     ab_image,
     abelianization,
     genus_word,
-    natural_presentation,
+    surface_names,
 )
 from stratisolve.serre_solver import (
     reduce_once,
@@ -50,16 +47,6 @@ def _report(capsys, n, desc, failures):
 def _check(failures, ok, msg):
     if not ok:
         failures.append(msg)
-
-
-def _pipeline(g):
-    tree = canonical_tree(g)
-    g_norm, _ = normalize_orientations(g, tree)
-    pres = natural_presentation(g_norm, tree)
-    orders = resolve_orders(g_norm)
-    orders.require_exact()
-    gog = GraphOfGroups(g_norm, tree, orders.sigma)
-    return g_norm, pres, gog
 
 
 def _solve_word(gog, w):
@@ -83,8 +70,8 @@ def test_criterion_01_disk_exhaustive(fixtures, capsys):
     _check(failures, not word_problem(g, "b.b1").trivial, "b trivial")
     _check(failures, not word_problem(g, "b.b1^2").trivial, "b^2 trivial")
 
-    _, pres, gog = _pipeline(g)
-    table = todd_coxeter(pres)
+    c = compile(g)
+    gog, table = c.gog, todd_coxeter(c.pres)
     _check(failures, table.status == "complete" and table.order == 3,
            f"coset table: {table.status} order {table.order}")
 
@@ -119,8 +106,7 @@ def test_criterion_02_simply_connected_wedge(fixtures, capsys):
     _check(failures, is_simply_connected(g), "not simply connected")
     _check(failures, prune(g).success, "prune did not succeed")
     _check(failures, wedge_check(g) == 1, f"wedge {wedge_check(g)}")
-    _, pres, _ = _pipeline(g)
-    table = todd_coxeter(pres)
+    table = todd_coxeter(compile(g).pres)
     _check(failures, table.order == 1, f"coset table order {table.order}")
     _report(capsys, 2, "coprime double disk: simply connected, prune, "
             "wedge of 1 sphere, trivial coset table", failures)
@@ -168,7 +154,7 @@ def test_criterion_04_infinite_circle_order(fixtures, capsys):
            f"orders: {oa.status} {oa.sigma}")
     _check(failures, not word_problem(g, "t.e2").trivial, "t trivial")
     # abelianization cross-check: t survives rationally
-    _, pres, _ = _pipeline(g)
+    pres = compile(g).pres
     ab = abelianization(pres)
     _check(failures, not ab_image((("t.e2", 1),), ab).is_zero(),
            "t vanishes in the abelianization")
@@ -194,7 +180,7 @@ def test_criterion_05_orbifold_circle(fixtures, capsys):
            f"orders: {oa.status} {oa.sigma}")
     _check(failures, word_problem(g, "b.b1^2").trivial, "b^2 not trivial")
     _check(failures, not word_problem(g, "b.b1").trivial, "b trivial")
-    _, pres, _ = _pipeline(g)
+    pres = compile(g).pres
     quots = finite_quotient_search(pres, max_degree=4, max_results=500)
     _check(failures,
            any(q.element_order((("b.b1", 1),)) == 2 for q in quots),
@@ -206,7 +192,8 @@ def test_criterion_05_orbifold_circle(fixtures, capsys):
 def test_criterion_06_triangle_groups(fixtures, capsys):
     failures = []
     g5 = fixtures["FX-TRI(2,3,5)"]
-    _, pres5, gog5 = _pipeline(g5)
+    c5 = compile(g5)
+    pres5, gog5 = c5.pres, c5.gog
     table = todd_coxeter(pres5)
     _check(failures, table.status == "complete" and table.order == 60,
            f"(2,3,5) coset table: {table.status} order {table.order}")
@@ -223,7 +210,8 @@ def test_criterion_06_triangle_groups(fixtures, capsys):
     _check(failures,
            word_problem(g7, "c.e1 * c.e2 * c.e3").trivial,
            "(2,3,7): c1 c2 c3: expected trivial, solver said nontrivial")
-    _, pres7, gog7 = _pipeline(g7)
+    c7 = compile(g7)
+    pres7, gog7 = c7.pres, c7.gog
 
     def expect(word, name, trivial):
         said = _solve_word(gog7, word).label
@@ -271,21 +259,18 @@ def test_criterion_07_random_relator_suite(capsys):
         g = _random_valid_graph(rng)
         if g is None:
             continue
-        oa = resolve_orders(g, budget)
-        if oa.status != "exact":
+        c = compile(g, budget)
+        if c.orders.status != "exact":
             continue  # only exactly-resolvable graphs are in scope here
-        graphs.append((g, oa))
+        graphs.append(c)
     _check(failures, len(graphs) >= 20,
            f"only {len(graphs)} resolvable random graphs in {attempts} tries")
 
     bad_relators = 0
     bad_products = 0
     products_done = 0
-    for g, oa in graphs:
-        tree = canonical_tree(g)
-        g_norm, _ = normalize_orientations(g, tree)
-        pres = natural_presentation(g_norm, tree)
-        gog = GraphOfGroups(g_norm, tree, oa.sigma)
+    for c in graphs:
+        pres, gog = c.pres, c.gog
         for r in pres.relators:
             if not _solve_word(gog, r).trivial:
                 bad_relators += 1
@@ -374,7 +359,8 @@ def test_criterion_08_abelianization_consistency(fixtures, capsys):
     total = 0
     per_fixture = 1000 // len(fixtures) + 1
     for name, g in fixtures.items():
-        _, pres, gog = _pipeline(g)
+        c = compile(g)
+        pres, gog = c.pres, c.gog
         ab = abelianization(pres)
         for _ in range(per_fixture):
             w = _random_word(rng, pres.generators, 6)
@@ -394,7 +380,8 @@ def test_criterion_08_abelianization_consistency(fixtures, capsys):
 def test_criterion_09_mechanical_invariants(fixtures, capsys):
     failures = []
     for name, g in fixtures.items():
-        g_norm, pres, gog = _pipeline(g)
+        c = compile(g)
+        g_norm, pres, gog = c.pres.graph, c.pres, c.gog
         # construction checks: handle classification ran (injectivity,
         # z-order, reflection identities); additionally each white handle
         # kills its own long relation
@@ -404,7 +391,8 @@ def test_criterion_09_mechanical_invariants(fixtures, capsys):
                 wh.boundary_images[f"c.{e.name}"]
                 for e in sorted(g_norm.edges_at_white(w), key=lambda e: e.name)
             )) if g_norm.edges_at_white(w) else ()
-            q = genus_word(w, g_norm.white(w).genus)
+            genus = g_norm.white(w).genus
+            q = genus_word(surface_names(w, genus), genus)
             if not wh.handle.wp(concat(boundary, q)):
                 failures.append(f"{name}: white {w} does not kill its relation")
         # every relator reduces by splices of exactly 2 and replays
@@ -425,7 +413,7 @@ def test_criterion_09_mechanical_invariants(fixtures, capsys):
             if not replay_trace(gog, lw, verdict):
                 failures.append(f"{name}: trace replay failed for {r}")
         # order certificates replay to the empty word
-        oa = resolve_orders(g_norm)
+        oa = c.orders
         for black, deriv in oa.certificates.items():
             if not replay_derivation(pres, deriv):
                 failures.append(f"{name}: certificate for {black} "

@@ -142,3 +142,14 @@ def test_exit_codes(fx, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run(["validate", str(tmp_path / "missing")])
     assert exc.value.code == 1
+
+
+def test_order_checks_black_name_before_order_search(fx, capsys, monkeypatch):
+    import stratisolve.cli as cli
+
+    def refuse(g, budget=None):
+        raise AssertionError("orders resolved before the name was checked")
+
+    monkeypatch.setattr(cli, "resolve_orders", refuse)
+    assert run(["--json", "order", fx("FX-BS"), "nosuch"]) == 2
+    assert "nosuch" in capsys.readouterr().err

@@ -129,6 +129,15 @@ def test_triangle_infinite_element():
     assert h.elem_order(w) == 0
 
 
+def test_triangle_membership_refuses_infinite_targets():
+    # edge groups at a triangle handle are finite; an infinite-order target
+    # gets an explicit refusal, never a bounded scan's "not a member"
+    h = TriangleHandle(("c1", "c2", "c3"), (3, 3, 4))
+    t = comm((("c1", 1),), (("c2", 1),))
+    with pytest.raises(NotImplementedError):
+        h.cyclic_membership(power(t, 2), t)
+
+
 def test_triangle_membership():
     h = TriangleHandle(("c1", "c2", "c3"), (2, 3, 5))
     t = (("c2", 1),)

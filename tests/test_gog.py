@@ -2,20 +2,18 @@ import pytest
 
 from stratisolve.errors import (
     InjectivityError,
-    UncertifiedOrdersError,
+    InternalError,
     UnknownGeneratorError,
 )
 from stratisolve.gog import (
     DirectedEdge,
     GraphOfGroups,
-    build_gog,
+    _LoopBuilder,
     build_white_handle,
-    check_loop,
     edge_group_order,
     to_loop_word,
 )
 from stratisolve.graph_model import canonical_tree, parse_graph
-from stratisolve.order_engine import resolve_orders
 from stratisolve.presentation import natural_presentation, parse_word
 
 Z3 = "white w1 genus 0\nblack b1\nedge e1 w1 b1 3\n"
@@ -78,21 +76,15 @@ def test_transport():
     assert gog.transport("e1", "black", -1) == (("b.b1", -1),)
 
 
-def test_build_gog_accepts_dict_and_exact_assignment():
-    g = parse_graph(Z3)
-    t = canonical_tree(g)
-    assert build_gog(g, t, {"b1": 3}).sigma == {"b1": 3}
-    orders = resolve_orders(g)
-    assert build_gog(g, t, orders).sigma == {"b1": 3}
-
-
-def test_build_gog_rejects_undetermined():
-    class Fake:
-        status = "undetermined"
-
-    g = parse_graph(Z3)
-    with pytest.raises(UncertifiedOrdersError):
-        build_gog(g, canonical_tree(g), Fake())
+def check_loop(gog, lw):
+    """Structural validity of a loop word: based at the basepoint, and each
+    edge leaves the vertex the previous one reached."""
+    assert len(lw.vertices) == len(lw.vertex_words) == len(lw.edges) + 1
+    assert lw.vertices[0] == lw.vertices[-1] == gog.basepoint
+    for i, de in enumerate(lw.edges):
+        e = gog.graph.edge(de.edge)
+        src, dst = (e.white, e.black) if de.to_black else (e.black, e.white)
+        assert lw.vertices[i] == src and lw.vertices[i + 1] == dst
 
 
 def loop_of(text, sigma, word_text):
@@ -143,3 +135,9 @@ def test_boundary_generator_maps_to_white_image():
     from stratisolve.words import power
 
     assert lw.vertex_words[0] == power(gog.white_image("e2"), 2)
+
+
+def test_loop_builder_rejects_an_edge_that_does_not_start_here():
+    builder = _LoopBuilder(gog_for(Z3, {"b1": 3}))  # standing at w1
+    with pytest.raises(InternalError):
+        builder.add_edge(DirectedEdge("e1", to_black=False))

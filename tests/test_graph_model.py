@@ -9,7 +9,6 @@ from stratisolve.errors import (
     ZeroLabelError,
 )
 from stratisolve.graph_model import (
-    black_partition,
     canonical_tree,
     normalize_orientations,
     parse_graph,
@@ -82,8 +81,3 @@ def test_normalize_orientations_flips_tree_edges_only():
     assert flips == ("e1",)
     assert g2.edge("e1").label == 1
     assert g2.edge("e2").label == -2  # non-tree labels keep their sign
-
-
-def test_black_partition_sorted_absolute():
-    g = parse_graph(BS)
-    assert black_partition(g, "b1") == (1, 2)

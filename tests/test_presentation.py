@@ -15,6 +15,7 @@ from stratisolve.presentation import (
     natural_presentation,
     parse_word,
     surface_gen_count,
+    surface_names,
 )
 from stratisolve.words import free_reduce
 
@@ -36,11 +37,11 @@ def test_surface_gen_count():
 
 
 def test_genus_word_conventions():
-    assert genus_word("w", 1) == (
+    assert genus_word(surface_names("w", 1), 1) == (
         ("y.w.1", 1), ("y.w.2", 1), ("y.w.1", -1), ("y.w.2", -1)
     )
-    assert genus_word("w", -2) == (("y.w.1", 2), ("y.w.2", 2))
-    assert genus_word("w", 0) == ()
+    assert genus_word(surface_names("w", -2), -2) == (("y.w.1", 2), ("y.w.2", 2))
+    assert genus_word(surface_names("w", 0), 0) == ()
 
 
 def test_disk_presentation():

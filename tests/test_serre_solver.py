@@ -4,6 +4,7 @@ from stratisolve.errors import UndeterminedError
 from stratisolve.gog import GraphOfGroups, to_loop_word
 from stratisolve.graph_model import canonical_tree, parse_graph
 from stratisolve.oracle import Budget
+from stratisolve.pipeline import compile
 from stratisolve.presentation import natural_presentation, parse_word
 from stratisolve.serre_solver import reduce_once, replay_trace, solve, word_problem
 
@@ -67,20 +68,12 @@ def test_relator_trivial_and_stable_letter_not():
 
 def test_trace_replays(fixtures):
     for name, g in fixtures.items():
-        t = canonical_tree(g)
-        from stratisolve.graph_model import normalize_orientations
-        from stratisolve.order_engine import resolve_orders
-
-        gn, _ = normalize_orientations(g, t)
-        orders = resolve_orders(gn)
-        orders.require_exact()
-        gog = GraphOfGroups(gn, t, orders.sigma)
-        pres = natural_presentation(gn, t)
-        for r in pres.relators:
-            lw = to_loop_word(gog, r)
-            v = solve(gog, lw)
+        c = compile(g)
+        for r in c.pres.relators:
+            lw = to_loop_word(c.gog, r)
+            v = solve(c.gog, lw)
             assert v.trivial, (name, r)
-            assert replay_trace(gog, lw, v), (name, r)
+            assert replay_trace(c.gog, lw, v), (name, r)
 
 
 def test_replay_rejects_tampered_trace():
