@@ -41,7 +41,7 @@ from .oracle import (
 )
 from .order_engine import resolve_orders
 from .pipeline import compile
-from .presentation import format_word, parse_word
+from .presentation import ab_image, abelianization, format_word, parse_word
 from .serre_solver import word_problem
 
 EXIT_OK = 0
@@ -215,7 +215,10 @@ def cmd_oracle(args) -> int:
             print("error: oracle derive needs a word", file=sys.stderr)
             return EXIT_USAGE
         w = parse_word(args.arg, p)
-        d = derive_trivial(p, w, compiled.budget)
+        # a word with a nonzero image in H1 has no derivation: skip the search
+        d = None
+        if ab_image(w, abelianization(p)).is_zero():
+            d = derive_trivial(p, w, compiled.budget)
         report = {
             "command": "oracle derive",
             "word": args.arg,

@@ -31,7 +31,6 @@ from .words import (
     inverse,
     letters,
     power,
-    word_length,
 )
 
 
@@ -96,19 +95,41 @@ def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET):
     States are freely reduced words; moves insert a relator (or its
     inverse) at any letter position.  Priority is (length, insertions) so
     short certificates are found first.  Returns a Derivation or None.
+
+    A state is held as its tuple of letters, each letter a signed generator
+    code, which is unique per freely reduced word.  The two parts of a
+    state on either side of an insertion are already reduced, so a move
+    cancels only across the two seams prefix|relator and relator|suffix.
     """
     start = free_reduce(w)
     if start == EMPTY:
-        return Derivation(free_reduce(w), ())
+        return Derivation(start, ())
+    names: list[str] = [""]
+    codes: dict[str, int] = {}
+
+    def encode(word: Word) -> tuple[int, ...]:
+        out: list[int] = []
+        for name, exp in word:
+            code = codes.get(name)
+            if code is None:
+                code = codes[name] = len(names)
+                names.append(name)
+            out.extend([code if exp > 0 else -code] * abs(exp))
+        return tuple(out)
+
+    def decode(ls: tuple[int, ...]) -> Word:
+        return from_letters((names[abs(x)], 1 if x > 0 else -1) for x in ls)
+
     rels = [
-        (idx, sign, letters(power(r, sign)))
+        (idx, sign, encode(power(r, sign)))
         for idx, r in enumerate(p.relators)
         if r != EMPTY
         for sign in (1, -1)
     ]
+    init = encode(start)
     tick = count()
-    heap = [(word_length(start), 0, next(tick), start, ())]
-    best: dict[Word, int] = {start: 0}
+    heap = [(len(init), 0, next(tick), init, ())]
+    best: dict[tuple[int, ...], int] = {init: 0}
     expansions = 0
     while heap and expansions < budget.max_expansions:
         _, ins, _, cur, steps = heapq.heappop(heap)
@@ -117,25 +138,41 @@ def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET):
         expansions += 1
         if ins >= budget.insertions:
             continue
-        cur_letters = letters(cur)
-        for pos in range(len(cur_letters) + 1):
-            suffix = from_letters(cur_letters[pos:])
-            for idx, sign, rel_letters in rels:
-                nxt = from_letters(
-                    cur_letters[:pos] + rel_letters + cur_letters[pos:]
-                )
-                step = DerivStep(suffix, idx, sign)
-                if nxt == EMPTY:
-                    return Derivation(free_reduce(w), steps + (step,))
-                if word_length(nxt) > budget.max_length:
+        n = len(cur)
+        for pos in range(n + 1):
+            suffix = None  # the conjugator, built on first use
+            for idx, sign, rel in rels:
+                lr = len(rel)
+                # prefix|relator: cur[pos-k:pos] cancels rel[:k]
+                k = 0
+                while k < pos and k < lr and cur[pos - 1 - k] == -rel[k]:
+                    k += 1
+                # relator|suffix: rel[lr-j:] cancels cur[pos:pos+j]; once
+                # the relator is used up, cur[pos-k-i:pos-k] cancels
+                # cur[pos+j:pos+j+i]
+                j = 0
+                while (k + j < lr and pos + j < n
+                       and rel[lr - 1 - j] == -cur[pos + j]):
+                    j += 1
+                i = 0
+                if k + j == lr:
+                    while (i < pos - k and pos + j + i < n
+                           and cur[pos - k - 1 - i] == -cur[pos + j + i]):
+                        i += 1
+                size = n + lr - 2 * (k + j + i)
+                if size and size > budget.max_length:
                     continue
+                if suffix is None:
+                    suffix = decode(cur[pos:])
+                step = DerivStep(suffix, idx, sign)
+                if not size:
+                    return Derivation(start, steps + (step,))
+                nxt = cur[:pos - k - i] + rel[k:lr - j] + cur[pos + j + i:]
                 if best.get(nxt, ins + 2) <= ins + 1:
                     continue
                 best[nxt] = ins + 1
                 heapq.heappush(
-                    heap,
-                    (word_length(nxt), ins + 1, next(tick), nxt,
-                     steps + (step,)),
+                    heap, (size, ins + 1, next(tick), nxt, steps + (step,))
                 )
     return None
 

@@ -5,6 +5,10 @@ b, the order sigma(b) of its ``b.`` generator in the fundamental group
 (0 = infinite).  Only upper bounds certified by explicit relator
 derivations are ever used:
 
+* H1 screen: no search runs for b^n when the order h of b in the
+  abelianization H1 is infinite or does not divide n — G -> H1 is a
+  homomorphism, so b^n = 1 in G forces n [b] = 0 in H1, i.e. h | n, and
+  such a search could only fail;
 * disk rule: a terminal genus-0 white attached to b by an edge of label m
   bounds a disk, so b^|m| = 1 — certified by a short derivation search;
 * consequence rule: a budgeted search for further derivable powers b^n;
@@ -56,7 +60,7 @@ class OrderAssignment:
     unresolved: tuple[str, ...]
     certificates: Mapping[str, Derivation]
     #: order of each b in the abelianized group (0 = infinite); a cheap
-    #: independently-computed divisor of the true order
+    #: divisor of the true order, computed before any search to screen it
     ab_evidence: Mapping[str, int]
 
     def __post_init__(self):
@@ -77,6 +81,13 @@ class _Certificates:
         self.pres = pres
         self.budget = budget
         self.best: dict[str, tuple[int, Derivation]] = {}
+        ab = abelianization(pres)
+        #: order of each b in H1 (0 = infinite), which divides every
+        #: certifiable exponent
+        self.h1: dict[str, int] = {
+            b: ab_element_order(((f"b.{b}", 1),), ab)
+            for b in pres.graph.black_names()
+        }
 
     def current(self, black: str) -> int:
         return self.best.get(black, (0, None))[0]
@@ -96,7 +107,11 @@ class _Certificates:
         self.best[black] = (abs(g), combined)
 
     def try_derive(self, black: str, exp: int) -> bool:
-        """Search for a certificate of b^exp; fold it in when found."""
+        """Search for a certificate of b^exp; fold it in when found.  No
+        search runs when H1 already refutes b^exp = 1."""
+        h = self.h1[black]
+        if h == 0 or exp % h:
+            return False
         word = ((f"b.{black}", exp),)
         d = derive_trivial(self.pres, word, self.budget)
         if d is None:
@@ -174,12 +189,11 @@ def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
     unresolved: set[str] = set()
     # fixpoint: each accepted violation strictly shrinks some sigma by a
     # proper divisor, so iterations are bounded by sum(log2(sigma))
+    violations = validity_check(g, certs.sigma())
     for _ in range(64):
-        sigma = certs.sigma()
-        progress = False
-        violations = validity_check(g, sigma)
         if not violations:
             break
+        progress = False
         for black, exp in violations:
             if exp == 0:
                 unresolved.add(black)
@@ -193,19 +207,15 @@ def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
                 unresolved.add(black)
         if not progress:
             break
-    sigma = certs.sigma()
-    if not unresolved and validity_check(g, sigma):
+        violations = validity_check(g, certs.sigma())
+    if not unresolved:
         # violations persist without certificates: not exact
-        unresolved.update(b for b, _ in validity_check(g, sigma))
-    ab = abelianization(pres)
-    evidence = {
-        b: ab_element_order(((f"b.{b}", 1),), ab) for b in g.black_names()
-    }
+        unresolved.update(b for b, _ in violations)
     status = "exact" if not unresolved else "undetermined"
     return OrderAssignment(
-        sigma=sigma,
+        sigma=certs.sigma(),
         status=status,
         unresolved=tuple(sorted(unresolved)),
         certificates={b: d for b, (_, d) in certs.best.items()},
-        ab_evidence=evidence,
+        ab_evidence=certs.h1,
     )

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from stratisolve import fixture_path
+from stratisolve import cli, fixture_path
 from stratisolve.cli import run
 
 
@@ -102,6 +102,18 @@ def test_oracle_derive(fx, capsys):
     assert run(["--json", "oracle", fx("FX-Z3"), "derive", "b.b1^3"]) == 0
     data = json.loads(out_of(capsys))
     assert data["found"] is True and data["replays"] is True
+
+
+def test_oracle_derive_refutes_by_h1(fx, capsys, monkeypatch):
+    # b.b1 has order 3 in H1 of FX-BS, so no derivation of b.b1 exists
+    def refuse(*args):
+        raise AssertionError("no search was expected for a word nonzero in H1")
+
+    monkeypatch.setattr(cli, "derive_trivial", refuse)
+    assert run(["--json", "oracle", fx("FX-BS"), "derive", "b.b1"]) == 0
+    assert json.loads(out_of(capsys)) == {
+        "command": "oracle derive", "found": False, "word": "b.b1",
+    }
 
 
 def test_oracle_tc(fx, capsys):

@@ -5,6 +5,7 @@ from stratisolve.graph_model import canonical_tree
 from stratisolve.oracle import (
     Budget,
     Derivation,
+    DerivStep,
     cayley_wp,
     derivation_concat,
     derivation_gcd,
@@ -54,6 +55,30 @@ def test_derive_trivial_conjugated():
     w = concat((("b", 1),), (("a", 2),), (("b", -1),))
     d = derive_trivial(Z2Z3, w)
     assert d is not None and replay_derivation(Z2Z3, d)
+
+
+def test_derive_trivial_certificates_are_pinned():
+    """Moves cancel only across the seams of an insertion; the search must
+    still explore in the same order and return these exact certificates."""
+
+    def step(conjugator, index, sign=-1):
+        return DerivStep(conjugator, index, sign)
+
+    cases = [
+        (Z6, (("a", 6),), Budget(),
+         (step((("a", 6),), 0),)),
+        (Z6, (("a", 12),), Budget(2, 16),
+         (step((("a", 12),), 0), step((("a", 6),), 0))),
+        (Z2Z3, (("b", 1), ("a", 2), ("b", -1)), Budget(),
+         (step((("a", 2), ("b", -1)), 0),)),
+        (Z2Z3, (("a", 1), ("b", 3), ("a", 1)), Budget(),
+         (step((("b", 3), ("a", 1)), 1), step((("a", 2),), 0))),
+        (Z2Z3, (("b", 2), ("a", 2), ("b", 4)), Budget(),
+         (step((("b", 4),), 1), step((("a", 2), ("b", 1)), 0),
+          step((("b", 3),), 1))),
+    ]
+    for p, w, budget, steps in cases:
+        assert derive_trivial(p, w, budget) == Derivation(w, steps), w
 
 
 def test_derive_trivial_empty_word():

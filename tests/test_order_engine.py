@@ -1,9 +1,19 @@
-import pytest
+import random
 
+import pytest
+from test_acceptance import _random_valid_graph
+
+from stratisolve import order_engine
 from stratisolve.errors import UndeterminedError
 from stratisolve.graph_model import canonical_tree, parse_graph
-from stratisolve.oracle import Budget, replay_derivation
-from stratisolve.order_engine import resolve_orders, seed_exponents, validity_check
+from stratisolve.oracle import DEFAULT_BUDGET, Budget, replay_derivation
+from stratisolve.order_engine import (
+    certify_orders,
+    resolve_orders,
+    seed_exponents,
+    validity_check,
+)
+from stratisolve.pipeline import compile
 from stratisolve.presentation import natural_presentation
 
 
@@ -87,7 +97,7 @@ def test_validity_check_flags_wrong_sigma():
 
 
 def test_ab_evidence_divides_sigma(fixtures):
-    for g in fixtures.values():
+    for name, g in fixtures.items():
         oa = resolve_orders(g)
         if oa.status != "exact":
             continue
@@ -95,6 +105,82 @@ def test_ab_evidence_divides_sigma(fixtures):
             ab = oa.ab_evidence[b]
             if sig == 0:
                 continue  # infinite order upstairs, any ab order divides
-            assert sig % ab == 0 or ab == 0 or sig % ab == 0, (b, sig, ab)
             # the abelianized order always divides the true order
-            assert ab != 0 and sig % ab == 0
+            assert ab != 0 and sig % ab == 0, (
+                f"{name}: {b} has sigma {sig}, which is not a nonzero "
+                f"multiple of its H1 order {ab}"
+            )
+
+
+# -- H1 screen ------------------------------------------------------------------
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The words the order engine searches certificates for.  The engine
+    looks ``derive_trivial`` up by its module-level name, so the spy sees
+    every search."""
+    words = []
+    original = order_engine.derive_trivial
+
+    def spy(pres, word, budget):
+        words.append(word)
+        return original(pres, word, budget)
+
+    monkeypatch.setattr(order_engine, "derive_trivial", spy)
+    return words
+
+
+def test_h1_screen_searches_only_multiples_of_h1_order(fixtures, searches):
+    # H1 gives b1 order 3, so b^1 and b^2 cannot be certified; certify_orders
+    # bypasses the memo, so the spy sees the whole resolution
+    oa = certify_orders(compile(fixtures["FX-BS"]).pres, DEFAULT_BUDGET)
+    assert oa.ab_evidence == {"b1": 3}
+    assert searches == [(("b.b1", 3),)]
+    assert oa.status == "exact" and oa.sigma == {"b1": 0}
+
+
+def test_h1_screen_skips_blacks_of_infinite_h1_order(searches):
+    # labels 2 and -2 on one white cancel in H1, so b1 has infinite order
+    # there and no disk; b2 is capped by a disk and is still searched
+    g = parse_graph(
+        "white w1 genus 0\nwhite w2 genus 0\nblack b1\nblack b2\n"
+        "edge e1 w1 b1 2\nedge e2 w1 b1 -2\nedge e3 w1 b2 3\n"
+        "edge e4 w2 b2 3\n"
+    )
+    oa = certify_orders(compile(g).pres, DEFAULT_BUDGET)
+    assert oa.ab_evidence == {"b1": 0, "b2": 3}
+    assert searches == [(("b.b2", 3),)]
+    assert oa.status == "exact" and oa.sigma == {"b1": 0, "b2": 3}
+
+
+def test_certified_orders_are_multiples_of_the_h1_order():
+    """The invariant the screen relies on, on seeded random graphs: every
+    relation b^n = 1 known without the screen (a disk of label m gives
+    n = |m|) and every certified sigma(b) > 0 is a multiple of b's H1
+    order, which is finite."""
+    rng = random.Random(4)
+    # criterion 7's budget with a cap of 20 expansions: on these graphs a
+    # cap of 300 gives the same orders and takes fifteen times as long
+    budget = Budget(insertions=4, max_length=40, max_expansions=20)
+    checked = 0
+    while checked < 100:
+        g = _random_valid_graph(rng)
+        if g is None:
+            continue
+        checked += 1
+        c = compile(g, budget)
+        oa, gn = c.orders, c.pres.graph
+        for w in gn.white_names():
+            edges = gn.edges_at_white(w)
+            if gn.white(w).genus == 0 and len(edges) == 1:
+                b, m = edges[0].black, abs(edges[0].label)
+                h = oa.ab_evidence[b]
+                assert h != 0 and m % h == 0, (g, b, m, h)
+        for b, sig in oa.sigma.items():
+            if sig == 0:
+                continue
+            h = oa.ab_evidence[b]
+            assert h != 0 and sig % h == 0, (g, b, sig, h)
+            d = oa.certificates[b]
+            assert d.word == ((f"b.{b}", sig),)
+            assert replay_derivation(c.pres, d), (g, b)

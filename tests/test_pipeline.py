@@ -72,6 +72,7 @@ def test_presentation_and_word_errors_skip_order_search(
     path = str(stratisolve.fixture_path("FX-BS"))
     assert run(["--json", "present", path]) == 0
     assert run(["--json", "oracle", path, "tc"]) == 0
+    assert run(["--json", "oracle", path, "derive", "b.b1"]) == 0
 
 
 def test_graph_of_groups_built_once_per_graph_and_budget(fixtures, gog_builds):
