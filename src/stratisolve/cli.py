@@ -207,6 +207,20 @@ def cmd_prune(args) -> int:
     return EXIT_OK
 
 
+def _int_arg(args, default: int) -> int | None:
+    """The oracle's numeric argument; None after reporting a usage error."""
+    if args.arg is None:
+        return default
+    try:
+        return int(args.arg)
+    except ValueError:
+        print(
+            f"error: oracle {args.subop} needs an integer, not {args.arg!r}",
+            file=sys.stderr,
+        )
+        return None
+
+
 def cmd_oracle(args) -> int:
     compiled = compile(_load_graph(args.graph), args.budget)
     p = compiled.pres
@@ -239,7 +253,9 @@ def cmd_oracle(args) -> int:
         _emit(report, args.json)
         return EXIT_OK
     if args.subop == "tc":
-        cap = int(args.arg) if args.arg is not None else 100000
+        cap = _int_arg(args, 100000)
+        if cap is None:
+            return EXIT_USAGE
         t = todd_coxeter(p, cap)
         _emit(
             {"command": "oracle tc", "status": t.status, "order": t.order},
@@ -258,7 +274,9 @@ def cmd_oracle(args) -> int:
         )
         return EXIT_OK
     if args.subop == "quotients":
-        degree = int(args.arg) if args.arg is not None else 6
+        degree = _int_arg(args, 6)
+        if degree is None:
+            return EXIT_USAGE
         homs = finite_quotient_search(p, degree)
         report = {
             "command": "oracle quotients",

@@ -159,10 +159,6 @@ class RealCyclotomicField:
     def neg(self, a):
         return tuple(-x for x in a)
 
-    def scale(self, a, q):
-        q = Fraction(q)
-        return tuple(x * q for x in a)
-
     def mul(self, a, b):
         d = self.degree
         prod = [Fraction(0)] * (2 * d - 1 if d else 1)
@@ -182,15 +178,6 @@ class RealCyclotomicField:
 
     def is_zero(self, a) -> bool:
         return all(x == 0 for x in a)
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def evaluate_float(self, a) -> float:
-        import math
-
-        theta = 2.0 * math.cos(math.pi / self.L)
-        return sum(float(c) * theta**i for i, c in enumerate(a))
 
 
 # -- 3x3 matrices ----------------------------------------------------------------

@@ -144,10 +144,6 @@ class AmalgamHandle(GroupHandle):
                 break
         return sylls, 0
 
-    def reduced_length(self, w: Word) -> int:
-        sylls, _ = self.pinch_reduce(w)
-        return len(sylls)
-
     # -- contract ---------------------------------------------------------------
 
     def wp(self, w: Word) -> bool:

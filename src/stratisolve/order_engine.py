@@ -2,22 +2,20 @@
 
 The downstream graph-of-groups construction needs, for every black vertex
 b, the order sigma(b) of its ``b.`` generator in the fundamental group
-(0 = infinite).  Only upper bounds certified by explicit relator
-derivations are ever used:
+(0 = infinite).  One rule finds them, the validity fixpoint, and only
+upper bounds certified by explicit relator derivations are ever used:
 
+* validity fixpoint: start with every sigma infinite, build all white
+  handles under the candidate sigma and compare each computed
+  boundary-image order d with the required edge-group order k; a mismatch
+  yields the true relation c^d = 1, hence b^{|m| d} = 1, which must itself
+  be certified by derivation before it is folded in;
 * H1 screen: no search runs for b^n when the order h of b in the
   abelianization H1 is infinite or does not divide n — G -> H1 is a
   homomorphism, so b^n = 1 in G forces n [b] = 0 in H1, i.e. h | n, and
   such a search could only fail;
-* disk rule: a terminal genus-0 white attached to b by an edge of label m
-  bounds a disk, so b^|m| = 1 — certified by a short derivation search;
-* consequence rule: a budgeted search for further derivable powers b^n;
 * gcd closure: certificates for b^e1 and b^e2 compose (via the extended
-  gcd) into a certificate for b^gcd(e1,e2) with no extra search;
-* validity fixpoint: build all white handles under the candidate sigma and
-  compare each computed boundary-image order d with the required edge-group
-  order k; a mismatch yields the true relation c^d = 1, hence b^{|m| d} = 1,
-  which must itself be certified by derivation before it is folded in.
+  gcd) into a certificate for b^gcd(e1,e2) with no extra search.
 
 A candidate that passes validity with every finite sigma certified is
 exact: each vertex group then embeds into the fundamental group of the
@@ -26,6 +24,20 @@ follows a certified relation — so sigma equals the true orders.  When a
 needed certificate is out of budget, the result is undetermined and names
 the unresolved black vertices; callers must refuse to answer rather than
 guess.
+
+No other rule is needed to find the orders:
+
+* the disks (a terminal genus-0 white on b with edge label m, so
+  b^|m| = 1) are the fixpoint's first round.  With every sigma 0, every
+  white with edges is a free product of infinite cyclics, where a boundary
+  image is a nonempty reduced word of infinite order, as required —
+  except at a terminal genus-0 white, whose image is empty and has order
+  1.  So the first round's violations are exactly (b, |m|) for each disk,
+  in white order; a disk whose |m| is a multiple of an exponent already
+  certified needs no search;
+* a search for small powers b^n of a black the fixpoint leaves at 0 would
+  be wasted: when the fixpoint passes with every finite sigma certified,
+  each vertex group embeds, so b has infinite order and no b^n = 1 holds.
 """
 
 from __future__ import annotations
@@ -125,28 +137,6 @@ class _Certificates:
         }
 
 
-def seed_exponents(
-    g: StratifoldGraph, pres: Presentation, budget: Budget
-) -> _Certificates:
-    """Disk rule plus budgeted consequence search, gcd-closed."""
-    certs = _Certificates(pres, budget)
-    # disk rule: terminal genus-0 whites
-    for w in g.white_names():
-        edges = g.edges_at_white(w)
-        if g.white(w).genus == 0 and len(edges) == 1:
-            e = edges[0]
-            certs.try_derive(e.black, abs(e.label))
-    # consequence rule: search small powers for blacks with no disk bound;
-    # refinements of already-bounded blacks come from the validity fixpoint
-    for b in g.black_names():
-        if certs.current(b) != 0:
-            continue
-        for n in range(1, 4):
-            if certs.try_derive(b, n):
-                break
-    return certs
-
-
 def validity_check(
     g: StratifoldGraph, sigma: dict[str, int]
 ) -> list[tuple[str, int]]:
@@ -185,7 +175,7 @@ def resolve_orders(
 def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
     """Resolve the orders of a natural presentation over a normalized graph."""
     g = pres.graph
-    certs = seed_exponents(g, pres, budget)
+    certs = _Certificates(pres, budget)
     unresolved: set[str] = set()
     # fixpoint: each accepted violation strictly shrinks some sigma by a
     # proper divisor, so iterations are bounded by sum(log2(sigma))

@@ -133,6 +133,16 @@ def test_oracle_quotients(fx, capsys):
     assert [3, 3] in data["quotients"]
 
 
+@pytest.mark.parametrize("subop,arg", [("tc", "abc"), ("quotients", "x")])
+def test_oracle_rejects_a_non_integer_argument(fx, capsys, subop, arg):
+    assert run(["--json", "oracle", fx("FX-Z3"), subop, arg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: oracle {subop} needs an integer, not {arg!r}\n"
+    )
+
+
 def test_exit_codes(fx, tmp_path, capsys):
     bad_graph = tmp_path / "bad"
     bad_graph.write_text("white w genus 0\nblack b\nedge e w b 2\n")

@@ -11,6 +11,12 @@ from stratisolve.exactfield import (
 )
 
 
+def _evaluate(F, a) -> float:
+    """A field element as a float, with theta = 2cos(pi/L)."""
+    theta = 2.0 * math.cos(math.pi / F.L)
+    return sum(float(c) * theta**i for i, c in enumerate(a))
+
+
 def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(1) == (-1, 1)
     assert cyclotomic_polynomial(2) == (1, 1)
@@ -32,13 +38,13 @@ def test_field_arithmetic(L):
     F = RealCyclotomicField(L)
     th = F.theta()
     # theta = 2 cos(pi/L) numerically
-    assert abs(F.evaluate_float(th) - 2 * math.cos(math.pi / L)) < 1e-9
+    assert abs(_evaluate(F, th) - 2 * math.cos(math.pi / L)) < 1e-9
     # ring laws on a few elements
     a = F.add(F.mul(th, th), F.from_rational(Fraction(-3, 2)))
     b = F.sub(th, F.one())
-    assert F.eq(F.mul(a, b), F.mul(b, a))
+    assert F.mul(a, b) == F.mul(b, a)
     assert F.is_zero(F.sub(a, a))
-    assert F.eq(F.mul(a, F.one()), a)
+    assert F.mul(a, F.one()) == a
     assert F.is_zero(F.mul(a, F.zero()))
 
 
@@ -46,7 +52,7 @@ def test_two_cos_pi_over_divisors():
     F = RealCyclotomicField(30)
     for k in (2, 3, 5, 6, 10, 15, 30):
         x = F.two_cos_pi_over(k)
-        assert abs(F.evaluate_float(x) - 2 * math.cos(math.pi / k)) < 1e-9
+        assert abs(_evaluate(F, x) - 2 * math.cos(math.pi / k)) < 1e-9
 
 
 def test_exact_zero_detection():

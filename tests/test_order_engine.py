@@ -10,7 +10,6 @@ from stratisolve.oracle import DEFAULT_BUDGET, Budget, replay_derivation
 from stratisolve.order_engine import (
     certify_orders,
     resolve_orders,
-    seed_exponents,
     validity_check,
 )
 from stratisolve.pipeline import compile
@@ -39,8 +38,9 @@ def test_infinite_order_is_exact(fixtures):
 
 
 def test_validity_fixpoint_refines_order(fixtures):
-    # genus-1 white of degree 1 plus disk of degree 2: the disk rule gives
-    # b^2 = 1 and validity confirms sigma = 2 exactly
+    # genus-1 white of degree 1 plus disk of degree 2: the fixpoint's first
+    # round certifies b^2 = 1 from the disk, and validity then confirms
+    # sigma = 2 exactly
     oa = resolve_orders(fixtures["FX-ORB"])
     assert oa.status == "exact"
     assert oa.sigma == {"b1": 2}
@@ -80,13 +80,6 @@ def test_default_budget_restores_exact(fixtures):
     resolve_orders(fixtures["FX-ORB"], Budget.parse("1,8"))
     oa = resolve_orders(fixtures["FX-ORB"])
     assert oa.status == "exact"
-
-
-def test_seed_exponents_disk_rule():
-    g = parse_graph("white w1 genus 0\nblack b1\nedge e1 w1 b1 4\n")
-    pres = natural_presentation(g, canonical_tree(g))
-    certs = seed_exponents(g, pres, Budget())
-    assert certs.current("b1") == 4
 
 
 def test_validity_check_flags_wrong_sigma():
@@ -130,13 +123,40 @@ def searches(monkeypatch):
     return words
 
 
-def test_h1_screen_searches_only_multiples_of_h1_order(fixtures, searches):
-    # H1 gives b1 order 3, so b^1 and b^2 cannot be certified; certify_orders
-    # bypasses the memo, so the spy sees the whole resolution
+def test_disk_is_certified_by_the_fixpoints_first_round(searches):
+    # with b1 infinite, the disk's boundary image is empty, so the first
+    # validity round asks for b^4 = 1 and nothing else
+    g = parse_graph("white w1 genus 0\nblack b1\nedge e1 w1 b1 4\n")
+    c = compile(g)
+    oa = certify_orders(c.pres, DEFAULT_BUDGET)
+    assert oa.status == "exact" and oa.sigma == {"b1": 4}
+    assert searches == [(("b.b1", 4),)]
+    assert replay_derivation(c.pres, oa.certificates["b1"])
+
+
+def test_fx_bs_resolves_without_any_search(fixtures, searches):
+    # H1 gives b1 order 3, but the fixpoint passes at once with b1 infinite,
+    # so not even b^3 is searched; certify_orders bypasses the memo, so the
+    # spy sees the whole resolution
     oa = certify_orders(compile(fixtures["FX-BS"]).pres, DEFAULT_BUDGET)
     assert oa.ab_evidence == {"b1": 3}
-    assert searches == [(("b.b1", 3),)]
+    assert searches == []
     assert oa.status == "exact" and oa.sigma == {"b1": 0}
+
+
+def test_genus_one_chain_resolves_without_any_search(searches):
+    # w_i -1- b_i -2- w_{i+1} with genus-1 whites: no disk, so every circle
+    # has infinite order and the first validity round already passes
+    links = 4
+    lines = [f"white w{i} genus 1" for i in range(1, links + 2)]
+    lines += [f"black b{i}" for i in range(1, links + 1)]
+    for i in range(1, links + 1):
+        lines += [f"edge l{i} w{i} b{i} 1", f"edge r{i} w{i + 1} b{i} 2"]
+    g = parse_graph("\n".join(lines) + "\n")
+    oa = certify_orders(compile(g).pres, DEFAULT_BUDGET)
+    assert oa.status == "exact"
+    assert oa.sigma == {f"b{i}": 0 for i in range(1, links + 1)}
+    assert searches == []
 
 
 def test_h1_screen_skips_blacks_of_infinite_h1_order(searches):
@@ -157,7 +177,8 @@ def test_certified_orders_are_multiples_of_the_h1_order():
     """The invariant the screen relies on, on seeded random graphs: every
     relation b^n = 1 known without the screen (a disk of label m gives
     n = |m|) and every certified sigma(b) > 0 is a multiple of b's H1
-    order, which is finite."""
+    order, which is finite.  Each disk's relation is also certified:
+    sigma(b) is nonzero and divides m."""
     rng = random.Random(4)
     # criterion 7's budget with a cap of 20 expansions: on these graphs a
     # cap of 300 gives the same orders and takes fifteen times as long
@@ -176,6 +197,8 @@ def test_certified_orders_are_multiples_of_the_h1_order():
                 b, m = edges[0].black, abs(edges[0].label)
                 h = oa.ab_evidence[b]
                 assert h != 0 and m % h == 0, (g, b, m, h)
+                sig = oa.sigma[b]
+                assert sig != 0 and m % sig == 0, (g, b, m, sig)
         for b, sig in oa.sigma.items():
             if sig == 0:
                 continue
