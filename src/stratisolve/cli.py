@@ -212,13 +212,20 @@ def _int_arg(args, default: int) -> int | None:
     if args.arg is None:
         return default
     try:
-        return int(args.arg)
+        value = int(args.arg)
     except ValueError:
         print(
             f"error: oracle {args.subop} needs an integer, not {args.arg!r}",
             file=sys.stderr,
         )
         return None
+    if value < 1:
+        print(
+            f"error: oracle {args.subop} needs a positive integer, not {value}",
+            file=sys.stderr,
+        )
+        return None
+    return value
 
 
 def cmd_oracle(args) -> int:

@@ -12,7 +12,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
 from .errors import InternalError, NotApplicableError, NotZeroTerminalError
 from .graph_model import StratifoldGraph
@@ -37,28 +36,21 @@ def is_abelian(g: StratifoldGraph, budget=None) -> bool:
     return True
 
 
-def _zero_terminal_labels(g: StratifoldGraph, black: str) -> list[int]:
-    out = []
-    for e in g.edges_at_black(black):
-        w = g.white(e.white)
-        if w.genus == 0 and len(g.edges_at_white(w.name)) == 1:
-            out.append(abs(e.label))
-    return out
-
-
 def zero_terminal_order(g: StratifoldGraph, black: str, budget=None) -> int:
-    """Order of the black vertex generator, computable whenever b carries a
-    0-terminal edge: the order divides the gcd of the 0-terminal labels."""
-    labels = _zero_terminal_labels(g, black)
-    if not labels:
+    """Order of the black vertex generator when b carries a 0-terminal edge
+    (to a terminal genus-0 white).  The disk makes the order finite, and
+    the resolved orders certify it exactly.  Raises UndeterminedError when
+    orders cannot be certified."""
+    if not any(
+        g.white(e.white).genus == 0 and len(g.edges_at_white(e.white)) == 1
+        for e in g.edges_at_black(black)
+    ):
         raise NotZeroTerminalError(
             f"black vertex {black!r} has no terminal genus-0 white neighbour"
         )
-    bound = gcd(*labels)
-    for d in sorted(k for k in range(1, bound + 1) if bound % k == 0):
-        if _solve(g, f"b.{black}^{d}", budget):
-            return d
-    raise InternalError(f"b.{black}^{bound} must be trivial (disk relation)")
+    orders = compile(g, budget).orders
+    orders.require_exact()
+    return orders.sigma[black]
 
 
 @dataclass(frozen=True)

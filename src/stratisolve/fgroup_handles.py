@@ -8,14 +8,17 @@ A white vertex with p boundary curves of required orders k_i and genus g has
 a handle with a full decision kit plus an elimination map sending each
 boundary generator to a word in the handle's letters:
 
-  * some k_i in {0, 1}: eliminate and fall back to a free product of cyclics;
+  * some k_i in {0, 1}: curves of order 1 vanish; an undisked curve is
+    eliminated and the group falls back to a free product of cyclics;
   * all k_i >= 2, n >= 1, p >= 2: amalgam of a free product of cyclics with
     a free group over the infinite cyclic subgroup <c_1...c_p> = <q^-1>;
-  * all k_i >= 2, p = 1: HNN extension (orientable) or an amalgam with the
-    last surface letter split off (nonorientable);
+  * n >= 1, p <= 1, with at most one curve c of order k >= 2; a closed
+    surface is the case without a curve (c of order 1): an HNN extension
+    with stable letter y_{2g} (genus g >= 1), the cyclic group of order 2k
+    (genus -1, k = 1 when closed), or an amalgam with the last surface
+    letter split off (genus <= -2);
   * n = 0: trivial / finite cyclic / triangle-group reflection matrices /
-    polygon amalgam, by the number of boundary curves;
-  * p = 0: closed-surface handles.
+    polygon amalgam, by the number of boundary curves.
 
 Amalgam and HNN word problems run by pinch reduction: syllables lying in the
 amalgamated (resp. associated) cyclic subgroup are detected through factor
@@ -37,7 +40,6 @@ from .local_groups import (
     FreeProductOfCyclics,
     GroupHandle,
     TRIVIAL_HANDLE,
-    FreeAbelianRank2,
     cyclic_group,
     free_group,
     length_law_exponent,
@@ -444,8 +446,11 @@ class TriangleHandle(GroupHandle):
         n = self.elem_order(t)
         if n == 0:
             # edge groups at a triangle handle are finite, so the solver
-            # never asks; the base class refuses infinite-order targets
-            return super().cyclic_membership(g, t)
+            # never asks; refuse rather than answer from a bounded scan
+            raise NotImplementedError(
+                "TriangleHandle has no membership procedure for "
+                "infinite-order targets"
+            )
         mg = self.matrix(g)
         mt = self.matrix(t)
         acc = Mat3.identity(self.field)
@@ -487,7 +492,7 @@ class WhiteGroupSpec:
 @dataclass(frozen=True)
 class WhiteHandle:
     """A GroupHandle together with the map from boundary generators to
-    handle words and a tag telling whether letter orders are computed."""
+    handle words and the name of the handle's kind."""
 
     handle: GroupHandle
     boundary_images: Mapping[str, Word]
@@ -497,10 +502,6 @@ class WhiteHandle:
         images = MappingProxyType(dict(self.boundary_images))
         object.__setattr__(self, "boundary_images", images)
 
-    @property
-    def computed_orders(self) -> bool:
-        return not self.handle.orders_assumed
-
     def boundary_order(self, name: str) -> int:
         return self.handle.elem_order(self.boundary_images[name])
 
@@ -508,6 +509,8 @@ class WhiteHandle:
 def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
     images = {name: ((name, 1),) for name in spec.boundary_names}
     q = genus_word(spec.surface_names, spec.genus)
+    curves = tuple(zip(spec.boundary_names, spec.boundary_orders))
+    c_word = tuple((name, 1) for name in spec.boundary_names)  # c_1...c_p
 
     # (1a) boundary curves of order 1 vanish
     if any(k == 1 for k in spec.boundary_orders):
@@ -528,71 +531,44 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
     # (1b) an undisked boundary curve is eliminated via the long relation
     if 0 in spec.boundary_orders:
         j = max(i for i, k in enumerate(spec.boundary_orders) if k == 0)
-        letters = tuple(
-            (spec.boundary_names[i], spec.boundary_orders[i])
-            for i in range(spec.p)
-            if i != j
-        ) + tuple((y, 0) for y in spec.surface_names)
-        handle = FreeProductOfCyclics(letters)
+        handle = FreeProductOfCyclics(
+            curves[:j] + curves[j + 1:] + tuple((y, 0) for y in spec.surface_names)
+        )
         # c_j = (c_1...c_{j-1})^-1 (c_{j+1}...c_p q)^-1
-        before = tuple((spec.boundary_names[i], 1) for i in range(j))
-        after = tuple((spec.boundary_names[i], 1) for i in range(j + 1, spec.p))
         images[spec.boundary_names[j]] = concat(
-            inverse(before), inverse(concat(after, q))
+            inverse(c_word[:j]), inverse(concat(c_word[j + 1:], q))
         )
         return WhiteHandle(handle, images, "free_product")
 
     p, n, g = spec.p, spec.n, spec.genus
 
+    if n >= 1 and p >= 2:
+        a = FreeProductOfCyclics(curves)
+        b = free_group(spec.surface_names)
+        z_b = inverse(q)
+        return WhiteHandle(AmalgamHandle(a, b, c_word, z_b), images, "amalgam")
+
     if n >= 1:
-        if p >= 2:
-            a = FreeProductOfCyclics(
-                tuple(zip(spec.boundary_names, spec.boundary_orders))
-            )
-            b = free_group(spec.surface_names)
-            z_a = tuple((c, 1) for c in spec.boundary_names)
-            z_b = inverse(q)
-            return WhiteHandle(AmalgamHandle(a, b, z_a, z_b), images, "amalgam")
-        if p == 1:
-            c = spec.boundary_names[0]
-            k = spec.boundary_orders[0]
-            ys = spec.surface_names
-            if g > 0:
-                # relation c [y1,y2]...[y_{2g-1},y_{2g}] = 1 becomes the HNN
-                # relation y_{2g}^-1 (P y_{2g-1}) y_{2g} = y_{2g-1}
-                base = FreeProductOfCyclics(((c, k),) + tuple((y, 0) for y in ys[:-1]))
-                u = concat(((c, 1),), genus_word(ys[:-2], g - 1), ((ys[-2], 1),))
-                v = ((ys[-2], 1),)
-                return WhiteHandle(HNNHandle(base, ys[-1], u, v), images, "hnn")
-            m = -g
-            if m == 1:
-                # c y1^2 = 1: cyclic of order 2k on y1
-                handle = cyclic_group(ys[0], 2 * k)
-                images[c] = ((ys[0], -2),)
-                return WhiteHandle(handle, images, "free_product")
-            a = FreeProductOfCyclics(((c, k),) + tuple((y, 0) for y in ys[:-1]))
-            b = cyclic_group(ys[-1], 0)
-            z_a = concat(((c, 1),), genus_word(ys[:-1], g + 1))
-            z_b = ((ys[-1], -2),)
-            return WhiteHandle(AmalgamHandle(a, b, z_a, z_b), images, "amalgam")
-        # p == 0, closed surface of genus g != 0
+        # one boundary curve c, or none: a closed surface is the one-curve
+        # group with c of order 1, i.e. c dropped from every word below
         ys = spec.surface_names
-        if g == 1:
-            return WhiteHandle(FreeAbelianRank2(ys[0], ys[1]), images, "free_abelian")
         if g == -1:
-            return WhiteHandle(cyclic_group(ys[0], 2), images, "free_product")
-        if g > 1:
-            a = free_group(ys[:2])
-            b = free_group(ys[2:])
-            z_a = genus_word(ys[:2], 1)
-            z_b = inverse(genus_word(ys[2:], g - 1))
-            return WhiteHandle(AmalgamHandle(a, b, z_a, z_b), images, "amalgam")
-        # g <= -2: split off y1 (g = -2 is the Klein bottle amalgam)
-        a = cyclic_group(ys[0], 0)
-        b = free_group(ys[1:])
-        z_a = ((ys[0], 2),)
-        z_b = inverse(genus_word(ys[1:], g + 1))
-        return WhiteHandle(AmalgamHandle(a, b, z_a, z_b), images, "amalgam")
+            # c y1^2 = 1: cyclic of order 2k on y1 (k = 1 when closed)
+            k = spec.boundary_orders[0] if p else 1
+            images.update({name: ((ys[0], -2),) for name in spec.boundary_names})
+            return WhiteHandle(cyclic_group(ys[0], 2 * k), images, "free_product")
+        base = FreeProductOfCyclics(curves + tuple((y, 0) for y in ys[:-1]))
+        if g > 0:
+            # relation c [y1,y2]...[y_{2g-1},y_{2g}] = 1 becomes the HNN
+            # relation y_{2g}^-1 (P y_{2g-1}) y_{2g} = y_{2g-1}
+            u = concat(c_word, genus_word(ys[:-2], g - 1), ((ys[-2], 1),))
+            v = ((ys[-2], 1),)
+            return WhiteHandle(HNNHandle(base, ys[-1], u, v), images, "hnn")
+        # g <= -2: split off the last surface letter, c y1^2...y_{m-1}^2 = y_m^-2
+        z_a = concat(c_word, genus_word(ys[:-1], g + 1))
+        z_b = ((ys[-1], -2),)
+        handle = AmalgamHandle(base, cyclic_group(ys[-1], 0), z_a, z_b)
+        return WhiteHandle(handle, images, "amalgam")
 
     # n == 0, genus 0: polygon cases
     if p == 0:
@@ -611,8 +587,7 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
         handle = TriangleHandle(spec.boundary_names, spec.boundary_orders)
         return WhiteHandle(handle, images, "triangle")
     # p >= 4: split {c1, c2} | {c3..cp} over z = (c1 c2)^-1 = c3...cp
-    a = FreeProductOfCyclics(tuple(zip(spec.boundary_names[:2], spec.boundary_orders[:2])))
-    b = FreeProductOfCyclics(tuple(zip(spec.boundary_names[2:], spec.boundary_orders[2:])))
-    z_a = inverse(tuple((c, 1) for c in spec.boundary_names[:2]))
-    z_b = tuple((c, 1) for c in spec.boundary_names[2:])
-    return WhiteHandle(AmalgamHandle(a, b, z_a, z_b), images, "amalgam")
+    a = FreeProductOfCyclics(curves[:2])
+    b = FreeProductOfCyclics(curves[2:])
+    handle = AmalgamHandle(a, b, inverse(c_word[:2]), c_word[2:])
+    return WhiteHandle(handle, images, "amalgam")

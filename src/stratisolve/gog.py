@@ -20,10 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 from types import MappingProxyType
+from typing import Iterator, Mapping
 
 from .errors import InjectivityError, InternalError, UnknownGeneratorError
 from .fgroup_handles import WhiteGroupSpec, WhiteHandle, white_handle
-from .graph_model import MaximalTree, StratifoldGraph
+from .graph_model import Edge, MaximalTree, StratifoldGraph
 from .local_groups import FreeProductOfCyclics, solve_congruence
 from .presentation import surface_names
 from .words import EMPTY, Word, concat, power
@@ -50,6 +51,26 @@ def build_white_handle(
         surface_names=surface_names(w, g.white(w).genus),
     )
     return white_handle(spec)
+
+
+def boundary_mismatches(
+    g: StratifoldGraph, white_handles: Mapping[str, WhiteHandle],
+    sigma: Mapping[str, int],
+) -> Iterator[tuple[Edge, int, int]]:
+    """(edge, computed, required) for each edge whose boundary image has a
+    computed order other than the edge-group order under sigma, whites in
+    order and each white's edges in order.  Handles whose orders rest on
+    amalgam/HNN/reflection theory are exact and skipped; on the black side
+    b^label has order sigma/gcd(sigma, |label|) by construction."""
+    for w in g.white_names():
+        wh = white_handles[w]
+        if wh.handle.orders_assumed:
+            continue
+        for e in g.edges_at_white(w):
+            required = edge_group_order(sigma[e.black], e.label)
+            computed = wh.boundary_order(f"c.{e.name}")
+            if computed != required:
+                yield e, computed, required
 
 
 @dataclass(frozen=True)
@@ -94,12 +115,14 @@ class GraphOfGroups:
             w: build_white_handle(graph, w, self.sigma)
             for w in graph.white_names()
         })
-        self.edge_order = MappingProxyType({
-            e.name: edge_group_order(self.sigma[e.black], e.label)
-            for e in graph.edges
-        })
         self._whites = set(graph.white_names())
-        self._check_injectivity()
+        bad = next(boundary_mismatches(graph, self.white_handles, self.sigma), None)
+        if bad is not None:
+            e, computed, required = bad
+            raise InjectivityError(
+                f"edge {e.name!r}: boundary image has order {computed} "
+                f"but the edge group has order {required}"
+            )
 
     # -- vertex/edge helpers -----------------------------------------------
 
@@ -119,20 +142,6 @@ class GraphOfGroups:
     def black_image(self, edge_name: str) -> Word:
         e = self.graph.edge(edge_name)
         return ((f"b.{e.black}", e.label),)
-
-    def _check_injectivity(self) -> None:
-        for e in self.graph.edges:
-            k = self.edge_order[e.name]
-            wh = self.white_handles[e.white]
-            if wh.computed_orders:
-                actual = wh.boundary_order(f"c.{e.name}")
-                if actual != k:
-                    raise InjectivityError(
-                        f"edge {e.name!r}: boundary image has order {actual} "
-                        f"but the edge group has order {k}"
-                    )
-            # black side: b^label has order sigma/gcd(sigma,|label|) = k
-            # in Z/sigma by construction; nothing to compute.
 
     # -- edge-group membership with witness ---------------------------------
 

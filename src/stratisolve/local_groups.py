@@ -41,18 +41,8 @@ class GroupHandle:
         raise NotImplementedError
 
     def cyclic_membership(self, g: Word, t: Word):
-        """Return k with g = t^k, or None.  Default: finite-order targets by
-        exhaustion; subclasses override for infinite targets."""
-        n = self.elem_order(t)
-        if n >= 1:
-            for k in range(n):
-                if self.wp(concat(g, power(inverse(t), k))):
-                    return k
-            return None
-        raise NotImplementedError(
-            f"{type(self).__name__} has no membership procedure for "
-            "infinite-order targets"
-        )
+        """Return k with g = t^k, or None."""
+        raise NotImplementedError
 
 
 def length_law_exponent(
@@ -195,45 +185,3 @@ def free_group(names: tuple[str, ...]) -> FreeProductOfCyclics:
 
 
 TRIVIAL_HANDLE = FreeProductOfCyclics(())
-
-
-@dataclass(frozen=True)
-class FreeAbelianRank2(GroupHandle):
-    """Z x Z on two letters; used for the torus white vertex."""
-
-    gen_a: str
-    gen_b: str
-
-    @property
-    def letters(self) -> dict[str, int]:
-        return {self.gen_a: 0, self.gen_b: 0}
-
-    def _vector(self, w: Word) -> tuple[int, int]:
-        a = b = 0
-        for name, exp in w:
-            if name == self.gen_a:
-                a += exp
-            elif name == self.gen_b:
-                b += exp
-            else:
-                raise UnknownLetterError(f"unknown letter {name!r}")
-        return a, b
-
-    def wp(self, w: Word) -> bool:
-        return self._vector(w) == (0, 0)
-
-    def elem_order(self, w: Word) -> int:
-        return 1 if self.wp(w) else 0
-
-    def cyclic_membership(self, g: Word, t: Word):
-        ga, gb = self._vector(g)
-        ta, tb = self._vector(t)
-        if (ta, tb) == (0, 0):
-            return 0 if (ga, gb) == (0, 0) else None
-        if ta != 0:
-            if ga % ta or gb * ta != ga * tb:
-                return None
-            return ga // ta
-        if gb % tb or ga != 0:
-            return None
-        return gb // tb

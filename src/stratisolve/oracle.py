@@ -45,6 +45,8 @@ class Budget:
     @classmethod
     def parse(cls, text: str) -> "Budget":
         ins, maxlen = (int(x) for x in text.split(","))
+        if ins < 1 or maxlen < 1:
+            raise ValueError(f"budget fields must be at least 1, not {text!r}")
         return cls(ins, maxlen)
 
 

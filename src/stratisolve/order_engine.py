@@ -48,7 +48,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .errors import UndeterminedError
-from .gog import build_white_handle, edge_group_order
+from .gog import boundary_mismatches, build_white_handle
 from .graph_model import StratifoldGraph
 from .oracle import (
     Budget,
@@ -142,24 +142,14 @@ def validity_check(
 ) -> list[tuple[str, int]]:
     """Compare computed boundary-image orders with required edge-group
     orders under sigma.  Returns (black, exponent) pairs for each mismatch,
-    the exponent being the newly implied power b^{|m| d} = 1."""
-    violations: list[tuple[str, int]] = []
-    for w in g.white_names():
-        wh = build_white_handle(g, w, sigma)
-        if not wh.computed_orders:
-            continue  # amalgam/HNN/reflection orders are exact by theory
-        for e in g.edges_at_white(w):
-            k = edge_group_order(sigma[e.black], e.label)
-            actual = wh.boundary_order(f"c.{e.name}")
-            if actual == k:
-                continue
-            if actual == 0:
-                # image of infinite order where a finite order is required:
-                # no new finite relation follows; flag as unresolvable
-                violations.append((e.black, 0))
-            else:
-                violations.append((e.black, abs(e.label) * actual))
-    return violations
+    the exponent being the newly implied power b^{|m| d} = 1; exponent 0
+    (an image of infinite order where a finite one is required) implies
+    no finite relation and marks the black unresolvable."""
+    handles = {w: build_white_handle(g, w, sigma) for w in g.white_names()}
+    return [
+        (e.black, abs(e.label) * computed)
+        for e, computed, _ in boundary_mismatches(g, handles, sigma)
+    ]
 
 
 def resolve_orders(

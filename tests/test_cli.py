@@ -143,6 +143,30 @@ def test_oracle_rejects_a_non_integer_argument(fx, capsys, subop, arg):
     )
 
 
+@pytest.mark.parametrize(
+    "subop,arg", [("tc", "-3"), ("tc", "0"), ("quotients", "0")]
+)
+def test_oracle_rejects_a_nonpositive_argument(fx, capsys, subop, arg):
+    assert run(["--json", "oracle", fx("FX-Z3"), subop, arg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: oracle {subop} needs a positive integer, not {arg}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "budget", [["--budget", "0,0"], ["--budget=-1,5"], ["--budget", "4,0"]]
+)
+def test_budget_below_one_is_a_usage_error(fx, capsys, budget):
+    with pytest.raises(SystemExit) as exc:
+        run(budget + ["--json", "order", fx("FX-Z3"), "b1"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_exit_codes(fx, tmp_path, capsys):
     bad_graph = tmp_path / "bad"
     bad_graph.write_text("white w genus 0\nblack b\nedge e w b 2\n")

@@ -28,6 +28,18 @@ def test_zero_terminal_order(fixtures):
         zero_terminal_order(fixtures["FX-BS"], "b1")
 
 
+def test_zero_terminal_order_reads_the_resolved_orders(fixtures, monkeypatch):
+    import stratisolve.decisions as decisions
+
+    def refuse(*args):
+        raise AssertionError("the order is read off the resolved orders")
+
+    monkeypatch.setattr(decisions, "word_problem", refuse)
+    assert zero_terminal_order(fixtures["FX-Z3"], "b1") == 3
+    assert zero_terminal_order(fixtures["FX-S2W"], "b1") == 1
+    assert zero_terminal_order(fixtures["FX-ORB"], "b1") == 2
+
+
 def test_prune_success(fixtures):
     report = prune(fixtures["FX-S2W"])
     assert report.success

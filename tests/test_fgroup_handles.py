@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from stratisolve.fgroup_handles import (
@@ -170,7 +172,7 @@ def test_infinite_boundary_eliminated():
     # eliminated generator expressed in the remaining free product
     img = wh.boundary_images["c2"]
     assert img and all(name != "c2" for name, _ in img)
-    assert wh.computed_orders
+    assert not wh.handle.orders_assumed
     assert wh.boundary_order("c1") == 2
     assert wh.boundary_order("c2") == 0
     # the long relation holds under the substitution
@@ -197,7 +199,7 @@ def test_two_boundary_gcd():
 def test_three_boundary_triangle():
     wh = white_handle(spec([2, 3, 5], 0, 0))
     assert wh.kind == "triangle"
-    assert not wh.computed_orders
+    assert wh.handle.orders_assumed
     h = wh.handle
     assert h.wp(concat(*(wh.boundary_images[f"c{i}"] for i in (1, 2, 3))))
 
@@ -241,7 +243,7 @@ def test_nonorientable_genus2_with_boundary():
 
 def test_closed_surfaces():
     torus = white_handle(spec([], 1, 2))
-    assert torus.kind == "free_abelian"
+    assert torus.kind == "hnn"
     assert torus.handle.wp(comm((("y1", 1),), (("y2", 1),)))
 
     rp2 = white_handle(spec([], -1, 1))
@@ -252,13 +254,65 @@ def test_closed_surfaces():
     rel = concat(
         comm((("y1", 1),), (("y2", 1),)), comm((("y3", 1),), (("y4", 1),))
     )
-    assert genus2.kind == "amalgam"
+    assert genus2.kind == "hnn"
     assert genus2.handle.wp(rel)
     assert not genus2.handle.wp(comm((("y1", 1),), (("y3", 1),)))
 
     klein = white_handle(spec([], -2, 2))
     assert klein.handle.wp((("y1", 2), ("y2", 2)))
     assert not klein.handle.wp((("y1", 1), ("y2", 1)))
+
+
+def _random_word(rng, letters, length):
+    return tuple((rng.choice(letters), rng.choice((-2, -1, 1, 2)))
+                 for _ in range(length))
+
+
+@pytest.mark.parametrize("curve", [None, 2, 3])
+@pytest.mark.parametrize("genus", [1, 2, 3, -1, -2, -3])
+def test_surface_with_at_most_one_curve(genus, curve):
+    n = 2 * genus if genus > 0 else -genus
+    orders = [] if curve is None else [curve]
+    wh = white_handle(spec(orders, genus, n))
+    h = wh.handle
+    ys = [f"y{i + 1}" for i in range(n)]
+    if genus > 0:
+        q = concat(*(
+            comm(((a, 1),), ((b, 1),)) for a, b in zip(ys[::2], ys[1::2])
+        ))
+    else:
+        q = tuple((y, 2) for y in ys)
+    relators = [q]
+    if curve is not None:
+        c = wh.boundary_images["c1"]
+        relators = [concat(c, q), power(c, curve)]
+        assert wh.boundary_order("c1") == curve
+    rng = random.Random(100 * genus + (curve or 0))
+    letters = sorted(h.letters)
+    for _ in range(20):
+        product = ()
+        for _ in range(3):
+            u = _random_word(rng, letters, rng.randint(0, 4))
+            r = power(rng.choice(relators), rng.choice((-1, 1)))
+            product = concat(product, u, r, inverse(u))
+        assert h.wp(product)
+
+    # a homomorphism to Z that kills the relators (and the curve) proves
+    # a word nontrivial when it sends the word to a nonzero value
+    if genus > 0:
+        weight = {"y1": 1}
+    elif n >= 2:
+        weight = {"y1": 1, "y2": -1}
+    else:
+        return  # genus -1 gives a finite cyclic group
+    assert all(sum(weight.get(y, 0) * e for y, e in r) == 0 for r in relators)
+    seen = 0
+    for _ in range(40):
+        w = _random_word(rng, letters, rng.randint(1, 8))
+        if sum(weight.get(y, 0) * e for y, e in w):
+            seen += 1
+            assert not h.wp(w)
+    assert seen >= 10
 
 
 def test_multi_boundary_positive_genus_amalgam():

@@ -45,7 +45,6 @@ def test_gog_vertex_handles():
     gog = gog_for(Z3, {"b1": 3})
     assert gog.is_white("w1") and not gog.is_white("b1")
     assert gog.vertex_handle("b1").elem_order((("b.b1", 1),)) == 3
-    assert gog.edge_order["e1"] == 1
     assert gog.basepoint == "w1"
 
 

@@ -2,7 +2,6 @@ import pytest
 
 from stratisolve.errors import UnknownLetterError
 from stratisolve.local_groups import (
-    FreeAbelianRank2,
     FreeProductOfCyclics,
     cyclic_group,
     free_group,
@@ -99,13 +98,3 @@ def test_cyclic_and_free_helpers():
     assert c.elem_order((("g", 1),)) == 4
     f = free_group(("u", "v"))
     assert f.elem_order((("u", 1), ("v", 1))) == 0
-
-
-def test_free_abelian_rank2():
-    h = FreeAbelianRank2("a", "b")
-    assert h.wp((("a", 1), ("b", 1), ("a", -1), ("b", -1)))
-    assert not h.wp((("a", 1), ("b", 1)))
-    assert h.elem_order((("a", 2),)) == 0
-    assert h.cyclic_membership((("a", 4), ("b", 6)), (("a", 2), ("b", 3))) == 2
-    assert h.cyclic_membership((("a", 4), ("b", 5)), (("a", 2), ("b", 3))) is None
-    assert h.cyclic_membership((("b", -9),), (("b", 3),)) == -3

@@ -39,6 +39,12 @@ def test_budget_parse():
         Budget.parse("nope")
 
 
+@pytest.mark.parametrize("text", ["0,0", "0,32", "4,0", "-1,5"])
+def test_budget_parse_rejects_a_field_below_one(text):
+    with pytest.raises(ValueError):
+        Budget.parse(text)
+
+
 # -- derivation search -------------------------------------------------------
 
 Z6 = pres(["a"], [(("a", 6),)])

@@ -101,8 +101,6 @@ def test_shared_orders_are_read_only(fixtures):
     with pytest.raises(TypeError):
         gog.sigma["b1"] = 1
     with pytest.raises(TypeError):
-        gog.edge_order["e1"] = 3
-    with pytest.raises(TypeError):
         gog.white_handles["w1"].boundary_images["c.e1"] = (("c.e1", 1),)
     assert oa.sigma == {"b1": 3}
     assert not word_problem(g, "b.b1").trivial
