@@ -20,16 +20,19 @@ boundary generator to a word in the handle's letters:
   * n = 0: trivial / finite cyclic / triangle-group reflection matrices /
     polygon amalgam, by the number of boundary curves.
 
-Amalgam and HNN word problems run by pinch reduction: syllables lying in the
-amalgamated (resp. associated) cyclic subgroup are detected through factor
-membership with a witness exponent, transported to the other side and merged.
+Amalgam and HNN word problems run by pinch reduction in one left-to-right
+pass: syllables lying in the amalgamated (resp. associated) cyclic subgroup
+are detected through factor membership with a witness exponent, transported
+to the other side and merged into the top of a stack of reduced syllables.
 Nonempty pinch-reduced words of length >= 2 are nontrivial by the normal form
-theorem.
+theorem (Britton's lemma for HNN extensions).  Cyclic reduction conjugates
+by the first syllable and pinches at the wrap.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping
@@ -101,50 +104,37 @@ class AmalgamHandle(GroupHandle):
         single remaining C-syllable reported as ([], k) with w = z^k.
 
         Returns (syllables, c_exp); c_exp is meaningful only when the
-        syllable list is empty."""
-        sylls = self._split(w)
-        # drop trivial syllables eagerly
-        changed = True
-        while changed:
-            changed = False
-            i = 0
-            while i < len(sylls):
-                side, word = sylls[i]
-                k = self._c_exponent(side, word)
-                if k is None:
-                    i += 1
-                    continue
-                # syllable equals z^k: merge into a neighbor on its side
-                del sylls[i]
-                if not sylls:
-                    return [], k
-                if k != 0:
-                    if i > 0:
-                        nb_side, nb_word = sylls[i - 1]
-                        sylls[i - 1] = (
-                            nb_side,
-                            self.factors[nb_side].normal_form(
-                                concat(nb_word, power(self.z[nb_side], k))
-                            ),
-                        )
-                    else:
-                        nb_side, nb_word = sylls[0]
-                        sylls[0] = (
-                            nb_side,
-                            self.factors[nb_side].normal_form(
-                                concat(power(self.z[nb_side], k), nb_word)
-                            ),
-                        )
-                # merge now-adjacent same-side neighbors
-                if 0 < i < len(sylls) and sylls[i - 1][0] == sylls[i][0]:
-                    side2 = sylls[i][0]
-                    merged = self.factors[side2].normal_form(
-                        concat(sylls[i - 1][1], sylls[i][1])
+        syllable list is empty.  One left-to-right pass over a stack of
+        reduced syllables: a C-syllable z^k is folded into the top together
+        with the next syllable (both lie on the other side) and the new top
+        is tested again; with the stack empty, z^k is carried into the next
+        syllable.  Every syllable below the top was already refuted, so this
+        makes the same pinches in the same order as rescanning from the
+        left after each one."""
+        todo = self._split(w)[::-1]  # the next syllable is last
+        done: list[tuple[int, Word]] = []
+        while todo:
+            side, word = todo.pop()
+            k = self._c_exponent(side, word)
+            if k is None:
+                done.append((side, word))
+                continue
+            if done:
+                side, word = done.pop()
+                if k or todo:  # else the top stays as it was
+                    nxt = todo.pop()[1] if todo else EMPTY
+                    word = self.factors[side].normal_form(
+                        concat(word, power(self.z[side], k), nxt)
                     )
-                    sylls[i - 1 : i + 1] = [(side2, merged)]
-                changed = True
-                break
-        return sylls, 0
+                todo.append((side, word))
+            elif not todo:
+                return [], k
+            elif k:
+                side, word = todo.pop()
+                todo.append((side, self.factors[side].normal_form(
+                    concat(power(self.z[side], k), word)
+                )))
+        return done, 0
 
     # -- contract ---------------------------------------------------------------
 
@@ -256,29 +246,26 @@ class HNNHandle(GroupHandle):
                 raise UnknownLetterError(f"unknown letter {name!r}")
         return toks
 
+    def _pinch(self, e: int, a: Word):
+        """The base word equal to t^e a t^-e, or None when a is not in the
+        associated subgroup the pinch needs (<u> for e = -1, <v> for e = 1)."""
+        inner, outer = (self.u, self.v) if e < 0 else (self.v, self.u)
+        k = self.base.cyclic_membership(a, inner)
+        return None if k is None else power(outer, k)
+
     def _britton(self, toks: list) -> list:
-        while True:
-            pinched = False
-            for i in range(1, len(toks) - 2, 2):
-                e1, a, e2 = toks[i], toks[i + 1], toks[i + 2]
-                if e1 != -e2:
+        """Britton reduction in one left-to-right pass: a pinch changes only
+        the top piece, and every t-pair below it was already refuted."""
+        out = [toks[0]]
+        for i in range(1, len(toks), 2):
+            e, a = toks[i], toks[i + 1]
+            if len(out) > 1 and out[-2] == -e:
+                rep = self._pinch(out[-2], out[-1])
+                if rep is not None:
+                    out[-3:] = [self.base.normal_form(concat(out[-3], rep, a))]
                     continue
-                if e1 == -1:
-                    k = self.base.cyclic_membership(a, self.u)
-                    rep = self.v
-                else:
-                    k = self.base.cyclic_membership(a, self.v)
-                    rep = self.u
-                if k is None:
-                    continue
-                merged = self.base.normal_form(
-                    concat(toks[i - 1], power(rep, k), toks[i + 3])
-                )
-                toks[i - 1 : i + 4] = [merged]
-                pinched = True
-                break
-            if not pinched:
-                return toks
+            out += [e, a]
+        return out
 
     def _t_count(self, toks) -> int:
         return (len(toks) - 1) // 2
@@ -289,30 +276,21 @@ class HNNHandle(GroupHandle):
 
     def _cyclic_britton(self, w: Word):
         """Return (conj, toks) with w = conj * r * conj^-1, r cyclically
-        Britton-reduced; reduction is by rotating whole t-units and
-        re-reducing until a full cycle yields no pinch."""
+        Britton-reduced: conjugate by the first piece, then pinch at the
+        wrap t^e_n p_n t^e_1 while e_1 = -e_n, peeling t^e_1 off each time.
+        Only the wrap changes, so the inner pieces stay refuted."""
         conj: list = []
         toks = self._britton(self._tokens(w))
-        stale = 0
-        while self._t_count(toks) >= 1 and stale < self._t_count(toks) + 1:
-            before = self._t_count(toks)
-            # w = a0 X  ->  conj a0, r = X a0
-            if toks[0]:
-                a0 = toks[0]
-                conj.extend(a0)
-                toks[0] = EMPTY
-                toks[-1] = self.base.normal_form(concat(toks[-1], a0))
-                toks = self._britton(toks)
-                if self._t_count(toks) < before:
-                    stale = 0
-                    continue
-            if self._t_count(toks) == 0:
+        while len(toks) > 1:
+            first = toks[0]
+            conj.extend(first)
+            toks[0] = EMPTY
+            toks[-1] = self.base.normal_form(concat(toks[-1], first))
+            rep = self._pinch(toks[-2], toks[-1]) if toks[1] == -toks[-2] else None
+            if rep is None:
                 break
-            # rotate the leading t^e: r = t^e Y -> conj t^e, r = Y t^e
-            e = toks[1]
-            conj.append((self.stable, e))
-            toks = self._britton([toks[2]] + toks[3:] + [e, EMPTY])
-            stale = 0 if self._t_count(toks) < before else stale + 1
+            conj.append((self.stable, toks[1]))
+            toks = toks[2:-3] + [self.base.normal_form(concat(toks[-3], rep))]
         return free_reduce(conj), toks
 
     def elem_order(self, w: Word) -> int:
@@ -322,21 +300,16 @@ class HNNHandle(GroupHandle):
         return self.base.elem_order(toks[0])
 
     def cyclic_membership(self, g: Word, t: Word):
-        t_toks = self._britton(self._tokens(t))
-        if self._t_count(t_toks) == 0:
-            g_toks = self._britton(self._tokens(g))
-            if self._t_count(g_toks) != 0:
-                return None
-            return self.base.cyclic_membership(g_toks[0], t_toks[0])
+        """k with g = t^k, or None: a t conjugate into the base delegates
+        to the base; otherwise the length law pins k."""
         conj, r_toks = self._cyclic_britton(t)
         n_r = self._t_count(r_toks)
-        r_word = self._toks_to_word(r_toks)
         gp = concat(inverse(conj), g, conj)
         g_toks = self._britton(self._tokens(gp))
         n_g = self._t_count(g_toks)
-        if n_g == 0:
-            return 0 if self.base.wp(g_toks[0]) else None
-        return length_law_exponent(self, gp, r_word, n_g, n_r)
+        if n_r == 0:
+            return None if n_g else self.base.cyclic_membership(g_toks[0], r_toks[0])
+        return length_law_exponent(self, gp, self._toks_to_word(r_toks), n_g, n_r)
 
     def _toks_to_word(self, toks) -> Word:
         pairs: list = []
@@ -506,7 +479,13 @@ class WhiteHandle:
         return self.handle.elem_order(self.boundary_images[name])
 
 
+@lru_cache(maxsize=256)
 def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
+    """The classified handle of a white vertex group.  Handles are never
+    changed once built, so one is shared by every classification of the
+    same spec: each validity round of the order engine and the graph of
+    groups.  The graph of groups rereads only the last round, so the cache
+    needs to hold one round (129 entries on a 64-link chain)."""
     images = {name: ((name, 1),) for name in spec.boundary_names}
     q = genus_word(spec.surface_names, spec.genus)
     curves = tuple(zip(spec.boundary_names, spec.boundary_orders))

@@ -194,22 +194,22 @@ class _LoopBuilder:
         self.vertices.append(there)
         self.vertex_words.append(EMPTY)
 
-    def walk_to(self, v: str) -> None:
-        """Tree path basepoint -> v with trivial labels."""
-        cur = self.gog.basepoint
-        for ename in self.gog.tree.path_from_basepoint(v):
-            e = self.gog.graph.edge(ename)
-            self.add_edge(DirectedEdge(ename, to_black=(cur == e.white)))
-            cur = e.black if cur == e.white else e.white
+    def cross(self, ename: str) -> None:
+        """Cross an edge from the vertex the loop stands at."""
+        e = self.gog.graph.edge(ename)
+        self.add_edge(DirectedEdge(ename, to_black=(self.vertices[-1] == e.white)))
 
-    def walk_back(self, v: str) -> None:
-        """Tree path v -> basepoint."""
+    def walk(self, v: str, back: bool = False) -> None:
+        """Tree path basepoint -> v, or v -> basepoint when ``back``."""
         path = self.gog.tree.path_from_basepoint(v)
-        cur = v
-        for ename in reversed(path):
-            e = self.gog.graph.edge(ename)
-            self.add_edge(DirectedEdge(ename, to_black=(cur == e.white)))
-            cur = e.black if cur == e.white else e.white
+        for ename in reversed(path) if back else path:
+            self.cross(ename)
+
+    def visit(self, v: str, w: Word) -> None:
+        """Walk the tree to v, read w there and walk back."""
+        self.walk(v)
+        self.add_word(w)
+        self.walk(v, back=True)
 
     def loop(self) -> LoopWord:
         return LoopWord(
@@ -222,39 +222,29 @@ def to_loop_word(gog: GraphOfGroups, w: Word) -> LoopWord:
     b = _LoopBuilder(gog)
     g = gog.graph
     for name, exp in w:
-        if name.startswith("b."):
-            v = name[2:]
-            g.black(v)
-            b.walk_to(v)
-            b.add_word(((name, exp),))
-            b.walk_back(v)
-        elif name.startswith("c."):
-            e = g.edge(name[2:])
-            b.walk_to(e.white)
-            b.add_word(power(gog.white_image(e.name), exp))
-            b.walk_back(e.white)
-        elif name.startswith("y."):
-            v = name.split(".")[1]
+        kind, _, rest = name.partition(".")
+        if kind == "b":
+            g.black(rest)
+            b.visit(rest, ((name, exp),))
+        elif kind == "y":
+            v = rest.rpartition(".")[0]  # y.<white>.<i>
             g.white(v)
-            b.walk_to(v)
-            b.add_word(((name, exp),))
-            b.walk_back(v)
-        elif name.startswith("t."):
-            e = g.edge(name[2:])
+            b.visit(v, ((name, exp),))
+        elif kind == "c":
+            e = g.edge(rest)
+            b.visit(e.white, power(gog.white_image(e.name), exp))
+        elif kind == "t":
+            e = g.edge(rest)
             if e.name in gog.tree.tree_edges:
                 raise UnknownGeneratorError(
                     f"{name!r} refers to a tree edge; no stable letter exists"
                 )
-            step = 1 if exp > 0 else -1
+            # t^+1 crosses from the white end to the black end, t^-1 back
+            here, there = (e.white, e.black) if exp > 0 else (e.black, e.white)
             for _ in range(abs(exp)):
-                if step > 0:
-                    b.walk_to(e.white)
-                    b.add_edge(DirectedEdge(e.name, to_black=True))
-                    b.walk_back(e.black)
-                else:
-                    b.walk_to(e.black)
-                    b.add_edge(DirectedEdge(e.name, to_black=False))
-                    b.walk_back(e.white)
+                b.walk(here)
+                b.cross(e.name)
+                b.walk(there, back=True)
         else:
             raise UnknownGeneratorError(f"unknown generator {name!r}")
     return b.loop()

@@ -49,17 +49,17 @@ def length_law_exponent(
     handle: GroupHandle, g: Word, r: Word, n_g: int, n_r: int
 ):
     """k with g = r^k, or None, for a cyclically reduced r of reduced length
-    n_r and a nontrivial g of reduced length n_g.
+    n_r and a g of reduced length n_g.
 
     In free products, amalgams and HNN extensions the length law
     l(r^k) = |k| l(r) holds for cyclically reduced r, so only k = +-n_g/n_r
-    can work and both signs are checked."""
+    can work and both signs are checked (n_g = 0 leaves k = 0: g = 1)."""
     if n_r == 0 or n_g % n_r:
         return None
     k = n_g // n_r
     if handle.wp(concat(g, power(inverse(r), k))):
         return k
-    if handle.wp(concat(g, power(r, k))):
+    if k and handle.wp(concat(g, power(r, k))):
         return -k
     return None
 

@@ -104,6 +104,78 @@ def test_hnn_orders_assumed():
     assert bs_1_2().orders_assumed
 
 
+# -- one-pass pinch and Britton reductions ---------------------------------------
+
+A, B = (("a", 1),), (("b", 1),)
+
+
+def test_pinch_carries_a_leading_c_syllable_right():
+    # a^2 = z_A = z_B = b^-2 is carried into b: b^-2 b = b^-1
+    assert klein_bottle().pinch_reduce((("a", 2), ("b", 1), ("a", 1))) == (
+        [(1, (("b", -1),)), (0, A)], 0
+    )
+
+
+def test_pinch_cascades_leftwards():
+    # a^2 folds b . b^-1 into b^-2 = z_B, which then folds into a: a a^2
+    w = concat(A, B, (("a", 2),), inverse(B))
+    assert klein_bottle().pinch_reduce(w) == ([(0, (("a", 3),))], 0)
+
+
+def test_pinch_collapses_to_a_single_c_element():
+    w = concat(A, B, (("a", 2),), inverse(B), inverse(A))
+    assert klein_bottle().pinch_reduce(w) == ([], 1)
+    assert klein_bottle().pinch_reduce(power(w, -3)) == ([], -3)
+
+
+def test_britton_nested_cascade():
+    h = bs_1_2()
+    t, ti = (("t", 1),), (("t", -1),)
+    # t^-1 (t^-1 b t) t = t^-1 b^2 t = b^4
+    assert h._britton(h._tokens(concat(ti, ti, B, t, t))) == [(("b", 4),)]
+    # t (b^-1 (t^-1 b t) b^-1) t^-1: the outer pair pinches only after
+    # the inner one has emptied the piece between them
+    w = concat(t, inverse(B), ti, B, t, inverse(B), ti)
+    assert h._britton(h._tokens(w)) == [()]
+    # the merged top b^2 b^2 meets the next pair: b^4 (t^-1 b t) = b^6
+    w = concat(ti, B, t, (("b", 2),), ti, B, t)
+    assert h._britton(h._tokens(w)) == [(("b", 6),)]
+    # the pair t b t^-1 is not pinchable: b is not in <b^2>
+    assert h._britton(h._tokens(concat(t, B, ti))) == [(), 1, B, -1, ()]
+
+
+def test_hnn_membership_of_targets_conjugate_into_the_base():
+    h = bs_1_2()
+    t = (("t", 1), ("b", 1), ("t", -1))
+    assert h.cyclic_membership((("t", 1), ("b", 2), ("t", -1)), t) == 2
+    assert h.cyclic_membership((("t", 1), ("b", 3), ("t", -1)), t) == 3
+    # t^-1 b t = b^2, so b = t b^2 t^-1
+    assert h.cyclic_membership((("b", 1),), t) == 2
+    assert h.cyclic_membership((("t", 1),), t) is None
+    torus = white_handle(spec([3], 1, 2)).handle
+    c, y = (("c1", 1),), (("y2", 1),)
+    g = concat(y, power(c, 2), inverse(y))
+    assert torus.cyclic_membership(g, concat(y, c, inverse(y))) == 2
+    assert torus.cyclic_membership(concat(y, c), concat(y, c, inverse(y))) is None
+
+
+@pytest.mark.parametrize("genus", [1, 2, 3])
+@pytest.mark.parametrize("curve", [None, 2, 3])
+def test_hnn_membership_finds_every_power(genus, curve):
+    """g = t^k over conjugated random t: a witness always comes back, and
+    it is verified by the word problem."""
+    h = white_handle(spec([] if curve is None else [curve], genus, 2 * genus)).handle
+    assert isinstance(h, HNNHandle)
+    rng = random.Random(10 * genus + (curve or 0))
+    letters = sorted(h.letters)
+    for _ in range(40):
+        x = _random_word(rng, letters, rng.randint(0, 3))
+        t = concat(x, _random_word(rng, letters, rng.randint(1, 4)), inverse(x))
+        g = power(t, rng.randint(-3, 3))
+        k = h.cyclic_membership(g, t)
+        assert k is not None and h.wp(concat(g, power(t, -k)))
+
+
 # -- reflection triangle handles ----------------------------------------------
 
 def test_triangle_235_wp():
@@ -325,3 +397,42 @@ def test_multi_boundary_positive_genus_amalgam():
     )
     assert wh.handle.wp(rel)
     assert wh.handle.elem_order(wh.boundary_images["c2"]) == 3
+
+
+@pytest.mark.parametrize("genus, orders", [
+    (1, [2, 3]), (-3, [2, 2]), (0, [2, 3, 2, 5]), (-2, [3]),
+    (1, []), (2, [3]), (3, [2]),
+])
+def test_one_pass_reductions_leave_no_pinch(genus, orders):
+    """Random words rich in conjugated C-elements (amalgams) or pinchable
+    t-pairs (HNN): the reduced form alternates, nothing left in it can be
+    pinched, and it equals the input."""
+    n = 2 * genus if genus > 0 else -genus
+    h = white_handle(spec(orders, genus, n)).handle
+    if isinstance(h, AmalgamHandle):
+        pinchable = list(h.z)
+    else:
+        s = h.stable
+        pinchable = [((s, -1),) + h.u + ((s, 1),), ((s, 1),) + h.v + ((s, -1),)]
+    rng = random.Random(7 * genus + len(orders))
+    letters = sorted(h.letters)
+    for _ in range(60):
+        parts = []
+        for _ in range(rng.randint(1, 5)):
+            x = _random_word(rng, letters, rng.randint(0, 2))
+            p = power(rng.choice(pinchable), rng.randint(-2, 2))
+            parts += [x, p, inverse(x), _random_word(rng, letters, rng.randint(0, 2))]
+        w = concat(*parts)
+        if isinstance(h, AmalgamHandle):
+            sylls, k = h.pinch_reduce(w)
+            sides = [side for side, _ in sylls]
+            assert all(a != b for a, b in zip(sides, sides[1:]))
+            assert all(h._c_exponent(side, x) is None for side, x in sylls)
+            reduced = concat(*(x for _, x in sylls)) if sylls else power(h.z[0], k)
+        else:
+            toks = h._britton(h._tokens(w))
+            assert all(e in (1, -1) for e in toks[1::2])
+            for i in range(1, len(toks) - 2, 2):
+                assert toks[i] != -toks[i + 2] or h._pinch(toks[i], toks[i + 1]) is None
+            reduced = h._toks_to_word(toks)
+        assert h.wp(concat(w, inverse(reduced)))
