@@ -1,8 +1,12 @@
 """Exact arithmetic in Q(2cos(pi/L)) and 3x3 matrices over it.
 
-Elements are rational-coefficient polynomials in theta = 2cos(pi/L), reduced
-modulo the minimal polynomial of theta.  Zero tests are exact; no floating
-point enters any decision path.
+Elements are coefficient tuples of polynomials in theta = 2cos(pi/L),
+reduced modulo the minimal polynomial of theta.  That polynomial is monic
+with integer coefficients, so Z[theta] is closed under the ring operations:
+elements built from integers and theta (every entry of a Tits reflection
+matrix) keep plain ``int`` coefficients.  Rational coefficients are still
+accepted and mix freely with integer ones.  Zero tests are exact; no
+floating point enters any decision path.
 """
 
 from __future__ import annotations
@@ -102,32 +106,34 @@ def _zip_pad(a: list, b: list):
 
 class RealCyclotomicField:
     """Q(theta), theta = 2cos(pi/L).  Elements are coefficient tuples of
-    Fractions of length deg(minpoly), reduced mod the minimal polynomial."""
+    length deg(minpoly), reduced mod the minimal polynomial; coefficients
+    are ints, or Fractions where a rational was put in."""
 
     def __init__(self, L: int):
         self.L = L
-        self.minpoly = tuple(Fraction(c) for c in minimal_polynomial(L))
+        self.minpoly = minimal_polynomial(L)
         self.degree = len(self.minpoly) - 1
 
     # elements -----------------------------------------------------------------
 
     def zero(self):
-        return (Fraction(0),) * self.degree
+        return (0,) * self.degree
 
     def one(self):
         return self.from_rational(1)
 
     def from_rational(self, q):
-        out = [Fraction(0)] * self.degree
-        out[0] = Fraction(q)
+        q = Fraction(q)
+        out = [0] * self.degree
+        out[0] = q.numerator if q.denominator == 1 else q
         return tuple(out)
 
     def theta(self):
         if self.degree == 1:
-            # theta is rational: root of the degree-1 minimal polynomial
-            return (Fraction(-self.minpoly[0], self.minpoly[1]),)
-        out = [Fraction(0)] * self.degree
-        out[1] = Fraction(1)
+            # theta is an integer: root of the monic degree-1 minimal polynomial
+            return (-self.minpoly[0],)
+        out = [0] * self.degree
+        out[1] = 1
         return tuple(out)
 
     def two_cos_pi_over(self, k: int):
@@ -160,20 +166,27 @@ class RealCyclotomicField:
         return tuple(-x for x in a)
 
     def mul(self, a, b):
+        return self.dot((a,), (b,))
+
+    def dot(self, xs, ys):
+        """sum(x * y for x, y in zip(xs, ys)), reduced once at the end."""
         d = self.degree
-        prod = [Fraction(0)] * (2 * d - 1 if d else 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
+        prod = [0] * (2 * d - 1)
+        for a, b in zip(xs, ys):
+            nz = [(j, y) for j, y in enumerate(b) if y]
+            if not nz:
+                continue
+            for i, x in enumerate(a):
+                if x:
+                    for j, y in nz:
                         prod[i + j] += x * y
         # reduce modulo the monic minimal polynomial
-        for i in range(len(prod) - 1, d - 1, -1):
+        minpoly = self.minpoly
+        for i in range(2 * d - 2, d - 1, -1):
             c = prod[i]
             if c:
-                prod[i] = Fraction(0)
                 for j in range(d):
-                    prod[i - d + j] -= c * self.minpoly[j]
+                    prod[i - d + j] -= c * minpoly[j]
         return tuple(prod[:d])
 
     def is_zero(self, a) -> bool:
@@ -198,17 +211,8 @@ class Mat3:
 
     def __mul__(self, other: "Mat3") -> "Mat3":
         f = self.field
-        a, b = self.rows, other.rows
-        rows = []
-        for i in range(3):
-            row = []
-            for j in range(3):
-                acc = f.zero()
-                for k in range(3):
-                    acc = f.add(acc, f.mul(a[i][k], b[k][j]))
-                row.append(acc)
-            rows.append(row)
-        return Mat3(f, rows)
+        cols = tuple(zip(*other.rows))
+        return Mat3(f, [[f.dot(row, col) for col in cols] for row in self.rows])
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Mat3) and self.rows == other.rows

@@ -374,11 +374,6 @@ class TriangleHandle(GroupHandle):
             names[1]: s3 * s1,
             names[2]: s1 * s2,
         }
-        self._rot_inv = {
-            names[0]: s3 * s2,
-            names[1]: s1 * s3,
-            names[2]: s2 * s1,
-        }
         if not all((s * s).is_identity() for s in refl):
             raise InternalError("reflection matrices: s_i^2 != I")
         prod = self._rot[names[0]] * self._rot[names[1]] * self._rot[names[2]]
@@ -387,6 +382,15 @@ class TriangleHandle(GroupHandle):
         for name, k in zip(names, orders):
             if not self._rot[name].pow(k).is_identity():
                 raise InternalError(f"reflection matrices: {name}^{k} != I")
+        # _powers[name][e] = rotation^e for 0 <= e < k, so a letter costs one
+        # product whatever its exponent
+        identity = Mat3.identity(f)
+        self._powers = {}
+        for name, k in zip(names, orders):
+            pw = [identity]
+            for _ in range(k - 1):
+                pw.append(pw[-1] * self._rot[name])
+            self._powers[name] = pw
 
     @property
     def letters(self):
@@ -395,10 +399,10 @@ class TriangleHandle(GroupHandle):
     def matrix(self, w: Word) -> Mat3:
         out = Mat3.identity(self.field)
         for name, exp in w:
-            if name not in self._rot:
+            pw = self._powers.get(name)
+            if pw is None:
                 raise UnknownLetterError(f"unknown letter {name!r}")
-            base = self._rot[name] if exp > 0 else self._rot_inv[name]
-            out = out * base.pow(abs(exp))
+            out = out * pw[exp % len(pw)]
         return out
 
     def wp(self, w: Word) -> bool:

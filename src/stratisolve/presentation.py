@@ -86,7 +86,7 @@ def natural_presentation(g: StratifoldGraph, t: MaximalTree) -> Presentation:
 # -- word grammar --------------------------------------------------------------
 
 _ATOM = re.compile(
-    r"^(b\.[^\s^*]+|c\.[^\s^*]+|t\.[^\s^*]+|y\.[^\s^*.]+\.\d+)(?:\^(-?\d+))?$"
+    r"^(b\.[^\s^*]+|c\.[^\s^*]+|t\.[^\s^*]+|y\.[^\s^*]+\.\d+)(?:\^(-?\d+))?$"
 )
 
 

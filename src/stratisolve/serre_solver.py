@@ -2,21 +2,31 @@
 
 A based loop r0 e1 r1 ... en rn is reduced when no backtracking pair
 e_{i+1} = reverse(e_i) has its middle vertex element r_i inside the image
-of the edge group.  A reduced nonempty loop represents a nontrivial
-element; a length-0 loop is decided by the basepoint vertex handle.  Each
-splice removes one backtracking pair, shortening the loop by exactly two
-edges, so at most n/2 splices occur.
+of the edge group (Serre, *Trees* I.5).  A reduced nonempty loop represents
+a nontrivial element; a length-0 loop is decided by the basepoint vertex
+handle.  Each splice removes one backtracking pair, shortening the loop by
+exactly two edges, so at most n/2 splices occur.
+
+:func:`solve` reduces in one left-to-right stack pass.  It pushes each edge
+with the vertex after it and that vertex's word, and :func:`reduce_once`
+then tests only the top pair of the stack, splicing it in place when the
+middle word lies in the edge group.  A splice changes only the new top
+vertex word, and every pair below it was refuted with the middle word it
+still has, so nothing below the top is tested again.  The pass therefore
+makes exactly the splices of "splice the leftmost reducible pair, then
+rescan from the left", in the same order and at the same indices, and its
+trace replays through :func:`replay_trace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .gog import GraphOfGroups, LoopWord, to_loop_word
+from .gog import DirectedEdge, GraphOfGroups, LoopWord, to_loop_word
 from .graph_model import StratifoldGraph
 from .pipeline import compile
 from .presentation import parse_word
-from .words import concat, inverse
+from .words import Word, concat, inverse
 
 
 @dataclass(frozen=True)
@@ -42,12 +52,17 @@ class Verdict:
         return "trivial" if self.trivial else "nontrivial"
 
 
+def _carried(gog: GraphOfGroups, de: DirectedEdge, witness: int) -> Word:
+    """The edge-group element with the witness exponent, written at the near
+    end of the backtracking pair that starts with ``de``."""
+    near_end = "white" if de.to_black else "black"
+    return gog.transport(de.edge, near_end, witness)
+
+
 def _splice(gog: GraphOfGroups, lw: LoopWord, i: int, witness: int) -> LoopWord:
     """Remove the backtracking pair at edge positions (i, i+1), carrying the
     edge-group element with the witness exponent to the near end."""
-    de = lw.edges[i]
-    near_end = "white" if de.to_black else "black"
-    carried = gog.transport(de.edge, near_end, witness)
+    carried = _carried(gog, lw.edges[i], witness)
     merged = concat(lw.vertex_words[i], carried, lw.vertex_words[i + 2])
     return LoopWord(
         lw.vertices[: i + 1] + lw.vertices[i + 3 :],
@@ -56,32 +71,43 @@ def _splice(gog: GraphOfGroups, lw: LoopWord, i: int, witness: int) -> LoopWord:
     )
 
 
-def reduce_once(gog: GraphOfGroups, lw: LoopWord):
-    """Splice the leftmost reducible backtracking pair.
+def reduce_once(gog: GraphOfGroups, vertices: list[str], vertex_words: list[Word],
+                edges: list[DirectedEdge]):
+    """Splice the top backtracking pair of a loop stack, in place.
 
-    Returns (new_loop, step) or None when the loop is already reduced.
+    The stack holds a loop prefix r0 e1 r1 ... ek rk as three lists.  Only
+    the pair (e_{k-1}, e_k) with middle word r_{k-1} is tested.  Returns the
+    :class:`SpliceStep`, or None when the top pair does not reduce.
     """
-    for i in range(len(lw.edges) - 1):
-        if lw.edges[i + 1] != lw.edges[i].reverse():
-            continue
-        de = lw.edges[i]
-        mid_end = "black" if de.to_black else "white"
-        s = gog.edge_membership(de.edge, mid_end, lw.vertex_words[i + 1])
-        if s is None:
-            continue
-        return _splice(gog, lw, i, s), SpliceStep(i, de.edge, mid_end, s)
-    return None
+    if len(edges) < 2:
+        return None
+    de = edges[-2]
+    if edges[-1] != de.reverse():
+        return None
+    mid_end = "black" if de.to_black else "white"
+    s = gog.edge_membership(de.edge, mid_end, vertex_words[-2])
+    if s is None:
+        return None
+    index = len(edges) - 2
+    merged = concat(vertex_words[-3], _carried(gog, de, s), vertex_words[-1])
+    del edges[-2:], vertices[-2:], vertex_words[-2:]
+    vertex_words[-1] = merged
+    return SpliceStep(index, de.edge, mid_end, s)
 
 
 def solve(gog: GraphOfGroups, lw: LoopWord) -> Verdict:
-    """Decide triviality of a based loop by repeated splicing."""
+    """Decide triviality of a based loop in one stack pass of splices."""
     trace: list[SpliceStep] = []
-    while True:
-        step = reduce_once(gog, lw)
-        if step is None:
-            break
-        lw, s = step
-        trace.append(s)
+    vertices, vertex_words = [lw.vertices[0]], [lw.vertex_words[0]]
+    edges: list[DirectedEdge] = []
+    for de, v, w in zip(lw.edges, lw.vertices[1:], lw.vertex_words[1:]):
+        edges.append(de)
+        vertices.append(v)
+        vertex_words.append(w)
+        step = reduce_once(gog, vertices, vertex_words, edges)
+        if step is not None:
+            trace.append(step)
+    lw = LoopWord(tuple(vertices), tuple(vertex_words), tuple(edges))
     if lw.edge_length == 0:
         trivial = gog.vertex_handle(gog.basepoint).wp(lw.vertex_words[0])
     else:

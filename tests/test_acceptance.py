@@ -398,15 +398,15 @@ def test_criterion_09_mechanical_invariants(fixtures, capsys):
         # every relator reduces by splices of exactly 2 and replays
         for r in pres.relators:
             lw = to_loop_word(gog, r)
-            cur, lengths = lw, [lw.edge_length]
-            while True:
-                step = reduce_once(gog, cur)
-                if step is None:
-                    break
-                cur = step[0]
-                lengths.append(cur.edge_length)
-            if any(a - b != 2 for a, b in zip(lengths, lengths[1:])):
-                failures.append(f"{name}: splice did not shorten by 2")
+            vs, ws, es = [lw.vertices[0]], [lw.vertex_words[0]], []
+            for de, v, x in zip(lw.edges, lw.vertices[1:], lw.vertex_words[1:]):
+                es.append(de)
+                vs.append(v)
+                ws.append(x)
+                before = len(es)
+                step = reduce_once(gog, vs, ws, es)
+                if step is not None and before - len(es) != 2:
+                    failures.append(f"{name}: splice did not shorten by 2")
             verdict = solve(gog, lw)
             if not verdict.trivial:
                 failures.append(f"{name}: relator {r} not trivial")

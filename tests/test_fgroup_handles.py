@@ -10,6 +10,8 @@ from stratisolve.fgroup_handles import (
     white_handle,
 )
 from stratisolve.local_groups import FreeProductOfCyclics, cyclic_group, free_group
+from stratisolve.oracle import cayley_wp, todd_coxeter
+from stratisolve.pipeline import compile
 from stratisolve.words import concat, inverse, power
 
 
@@ -217,6 +219,34 @@ def test_triangle_membership():
     t = (("c2", 1),)
     assert h.cyclic_membership((("c2", 2),), t) == 2
     assert h.cyclic_membership((("c1", 1),), t) is None
+
+
+@pytest.mark.parametrize("orders", [(2, 3, 5), (2, 3, 7), (2, 4, 5)])
+def test_triangle_power_tables(orders):
+    h = TriangleHandle(("c1", "c2", "c3"), orders)
+    for name, k in zip(h.names, orders):
+        pw = h._powers[name]
+        assert len(pw) == k
+        assert all(type(c) is int
+                   for m in pw for row in m.rows for x in row for c in x)
+        rot = pw[1]
+        for e in range(-2 * k, 2 * k + 1):
+            assert h.matrix(((name, e),)) == rot.pow(e % k)
+
+
+def test_triangle_235_agrees_with_coset_table(fixtures):
+    c = compile(fixtures["FX-TRI(2,3,5)"])
+    table = todd_coxeter(c.pres)
+    assert table.status == "complete" and table.order == 60
+    h = c.gog.white_handles["w0"].handle
+    assert isinstance(h, TriangleHandle)
+    rng = random.Random(235)
+    trivial = 0
+    for _ in range(200):
+        w = _random_word(rng, h.names, rng.randint(1, 12))
+        assert h.wp(w) == cayley_wp(table, w), w
+        trivial += h.wp(w)
+    assert 0 < trivial < 200
 
 
 # -- white vertex classification -----------------------------------------------
