@@ -368,29 +368,23 @@ class TriangleHandle(GroupHandle):
                     row.append(val)
                 rows.append(row)
             refl.append(Mat3(f, rows))
-        s1, s2, s3 = refl
-        self._rot = {
-            names[0]: s2 * s3,
-            names[1]: s3 * s1,
-            names[2]: s1 * s2,
-        }
         if not all((s * s).is_identity() for s in refl):
             raise InternalError("reflection matrices: s_i^2 != I")
-        prod = self._rot[names[0]] * self._rot[names[1]] * self._rot[names[2]]
-        if not prod.is_identity():
-            raise InternalError("reflection matrices: c1 c2 c3 != I")
-        for name, k in zip(names, orders):
-            if not self._rot[name].pow(k).is_identity():
-                raise InternalError(f"reflection matrices: {name}^{k} != I")
+        s1, s2, s3 = refl
         # _powers[name][e] = rotation^e for 0 <= e < k, so a letter costs one
         # product whatever its exponent
         identity = Mat3.identity(f)
         self._powers = {}
-        for name, k in zip(names, orders):
-            pw = [identity]
-            for _ in range(k - 1):
-                pw.append(pw[-1] * self._rot[name])
+        for name, k, rot in zip(names, orders, (s2 * s3, s3 * s1, s1 * s2)):
+            pw = [identity, rot]
+            for _ in range(k - 2):
+                pw.append(pw[-1] * rot)
+            if not (pw[-1] * rot).is_identity():
+                raise InternalError(f"reflection matrices: {name}^{k} != I")
             self._powers[name] = pw
+        c1, c2, c3 = (self._powers[name][1] for name in names)
+        if not (c1 * c2 * c3).is_identity():
+            raise InternalError("reflection matrices: c1 c2 c3 != I")
 
     @property
     def letters(self):

@@ -22,12 +22,7 @@ from math import gcd
 from types import MappingProxyType
 from typing import Iterator, Mapping
 
-from .errors import (
-    InjectivityError,
-    InternalError,
-    UnknownGeneratorError,
-    UnknownVertexError,
-)
+from .errors import InjectivityError, InternalError, UnknownGeneratorError
 from .fgroup_handles import WhiteGroupSpec, WhiteHandle, white_handle
 from .graph_model import Edge, MaximalTree, StratifoldGraph
 from .local_groups import FreeProductOfCyclics, solve_congruence
@@ -121,7 +116,6 @@ class GraphOfGroups:
             for w in graph.white_names()
         })
         self._whites = set(graph.white_names())
-        self._edges = {e.name: e for e in graph.edges}
         bad = next(boundary_mismatches(graph, self.white_handles, self.sigma), None)
         if bad is not None:
             e, computed, required = bad
@@ -135,12 +129,6 @@ class GraphOfGroups:
     def is_white(self, v: str) -> bool:
         return v in self._whites
 
-    def edge(self, name: str) -> Edge:
-        e = self._edges.get(name)
-        if e is None:
-            raise UnknownVertexError(f"unknown edge {name!r}")
-        return e
-
     def vertex_handle(self, v: str):
         if self.is_white(v):
             return self.white_handles[v].handle
@@ -148,11 +136,11 @@ class GraphOfGroups:
 
     def white_image(self, edge_name: str) -> Word:
         """Image of the edge generator in the white handle's letters."""
-        e = self.edge(edge_name)
+        e = self.graph.edge(edge_name)
         return self.white_handles[e.white].boundary_images[f"c.{edge_name}"]
 
     def black_image(self, edge_name: str) -> Word:
-        e = self.edge(edge_name)
+        e = self.graph.edge(edge_name)
         return ((f"b.{e.black}", e.label),)
 
     # -- edge-group membership with witness ---------------------------------
@@ -160,7 +148,7 @@ class GraphOfGroups:
     def edge_membership(self, edge_name: str, end: str, r: Word):
         """Witness s with r = (edge-generator image)^s at the given end
         ('black' or 'white'), or None."""
-        e = self.edge(edge_name)
+        e = self.graph.edge(edge_name)
         if end == "black":
             letter = f"b.{e.black}"
             x = 0
@@ -198,7 +186,7 @@ class _LoopBuilder:
         self.vertex_words[-1] = concat(self.vertex_words[-1], w)
 
     def add_edge(self, de: DirectedEdge) -> None:
-        e = self.gog.edge(de.edge)
+        e = self.gog.graph.edge(de.edge)
         here, there = (e.white, e.black) if de.to_black else (e.black, e.white)
         if self.vertices[-1] != here:
             raise InternalError("loop word lost its footing")
@@ -208,7 +196,7 @@ class _LoopBuilder:
 
     def cross(self, ename: str) -> None:
         """Cross an edge from the vertex the loop stands at."""
-        e = self.gog.edge(ename)
+        e = self.gog.graph.edge(ename)
         self.add_edge(DirectedEdge(ename, to_black=(self.vertices[-1] == e.white)))
 
     def walk(self, v: str, back: bool = False) -> None:

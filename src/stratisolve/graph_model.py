@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (
     BlackDegreeError,
@@ -65,11 +66,16 @@ class StratifoldGraph:
                 return b
         raise UnknownVertexError(f"unknown black vertex {name!r}")
 
+    @cached_property
+    def _edge_index(self) -> dict[str, Edge]:
+        # built on the first edge lookup: splicing looks an edge up per test
+        return {e.name: e for e in self.edges}
+
     def edge(self, name: str) -> Edge:
-        for e in self.edges:
-            if e.name == name:
-                return e
-        raise UnknownVertexError(f"unknown edge {name!r}")
+        e = self._edge_index.get(name)
+        if e is None:
+            raise UnknownVertexError(f"unknown edge {name!r}")
+        return e
 
     def white_names(self) -> tuple[str, ...]:
         return tuple(w.name for w in self.whites)

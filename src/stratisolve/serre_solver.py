@@ -52,23 +52,17 @@ class Verdict:
         return "trivial" if self.trivial else "nontrivial"
 
 
-def _carried(gog: GraphOfGroups, de: DirectedEdge, witness: int) -> Word:
-    """The edge-group element with the witness exponent, written at the near
-    end of the backtracking pair that starts with ``de``."""
+def _splice(gog: GraphOfGroups, vertices: list[str], vertex_words: list[Word],
+            edges: list[DirectedEdge], i: int, witness: int) -> None:
+    """Remove the backtracking pair at edge positions (i, i+1) in place,
+    carrying the edge-group element with the witness exponent to the near
+    end."""
+    de = edges[i]
     near_end = "white" if de.to_black else "black"
-    return gog.transport(de.edge, near_end, witness)
-
-
-def _splice(gog: GraphOfGroups, lw: LoopWord, i: int, witness: int) -> LoopWord:
-    """Remove the backtracking pair at edge positions (i, i+1), carrying the
-    edge-group element with the witness exponent to the near end."""
-    carried = _carried(gog, lw.edges[i], witness)
-    merged = concat(lw.vertex_words[i], carried, lw.vertex_words[i + 2])
-    return LoopWord(
-        lw.vertices[: i + 1] + lw.vertices[i + 3 :],
-        lw.vertex_words[:i] + (merged,) + lw.vertex_words[i + 3 :],
-        lw.edges[:i] + lw.edges[i + 2 :],
-    )
+    carried = gog.transport(de.edge, near_end, witness)
+    merged = concat(vertex_words[i], carried, vertex_words[i + 2])
+    del edges[i : i + 2], vertices[i + 1 : i + 3]
+    vertex_words[i : i + 3] = [merged]
 
 
 def reduce_once(gog: GraphOfGroups, vertices: list[str], vertex_words: list[Word],
@@ -89,9 +83,7 @@ def reduce_once(gog: GraphOfGroups, vertices: list[str], vertex_words: list[Word
     if s is None:
         return None
     index = len(edges) - 2
-    merged = concat(vertex_words[-3], _carried(gog, de, s), vertex_words[-1])
-    del edges[-2:], vertices[-2:], vertex_words[-2:]
-    vertex_words[-1] = merged
+    _splice(gog, vertices, vertex_words, edges, index, s)
     return SpliceStep(index, de.edge, mid_end, s)
 
 
@@ -123,30 +115,30 @@ def replay_trace(gog: GraphOfGroups, lw: LoopWord, verdict: Verdict) -> bool:
     a Trivial verdict the surviving length-0 loop must carry a trivial
     basepoint element.
     """
+    vertices, vertex_words, edges = (
+        list(lw.vertices), list(lw.vertex_words), list(lw.edges))
     for step in verdict.trace:
         i = step.index
-        if i < 0 or i + 1 >= len(lw.edges):
+        if i < 0 or i + 1 >= len(edges):
             return False
-        de = lw.edges[i]
-        if de.edge != step.edge or lw.edges[i + 1] != de.reverse():
+        de = edges[i]
+        if de.edge != step.edge or edges[i + 1] != de.reverse():
             return False
         mid_end = "black" if de.to_black else "white"
         if mid_end != step.end:
             return False
         # the recorded witness must represent the same edge-group element
         probe = concat(
-            lw.vertex_words[i + 1],
+            vertex_words[i + 1],
             inverse(gog.transport(de.edge, mid_end, step.witness)),
         )
-        if not gog.vertex_handle(lw.vertices[i + 1]).wp(probe):
+        if not gog.vertex_handle(vertices[i + 1]).wp(probe):
             return False
-        lw = _splice(gog, lw, i, step.witness)
-    if lw.edge_length != verdict.reduced_length:
+        _splice(gog, vertices, vertex_words, edges, i, step.witness)
+    if len(edges) != verdict.reduced_length:
         return False
     if verdict.trivial:
-        return lw.edge_length == 0 and gog.vertex_handle(gog.basepoint).wp(
-            lw.vertex_words[0]
-        )
+        return not edges and gog.vertex_handle(gog.basepoint).wp(vertex_words[0])
     return True
 
 

@@ -4,6 +4,7 @@ from stratisolve.errors import (
     InjectivityError,
     InternalError,
     UnknownGeneratorError,
+    UnknownVertexError,
 )
 from stratisolve.gog import (
     DirectedEdge,
@@ -61,6 +62,8 @@ def test_edge_membership_black_side():
     assert gog.edge_membership("e2", "black", (("b.b1", 4),)) == 2
     assert gog.edge_membership("e2", "black", (("b.b1", 3),)) is None
     assert gog.edge_membership("e2", "black", ()) == 0
+    with pytest.raises(UnknownVertexError):
+        gog.edge_membership("e3", "black", ())
 
 
 def test_edge_membership_white_side():

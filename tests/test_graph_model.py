@@ -6,6 +6,7 @@ from stratisolve.errors import (
     DisconnectedError,
     DuplicateNameError,
     GraphSyntaxError,
+    UnknownVertexError,
     ZeroLabelError,
 )
 from stratisolve.graph_model import (
@@ -24,6 +25,17 @@ def test_parse_counts():
     assert len(g.whites) == 1 and len(g.blacks) == 1 and len(g.edges) == 1
     assert g.white("w1").genus == 0
     assert g.edge("e1").label == 3
+
+
+def test_edge_lookup_by_name():
+    g = parse_graph(BS)
+    with pytest.raises(UnknownVertexError):
+        g.edge("e3")  # before the index is built
+    assert g.edge("e2").label == 2
+    with pytest.raises(UnknownVertexError):
+        g.edge("e3")  # and after
+    assert g == parse_graph(BS) and hash(g) == hash(parse_graph(BS))
+    assert g.replace_labels({"e2": -2}).edge("e2").label == -2
 
 
 def test_parse_comments_and_blank_lines():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from stratisolve.errors import UndeterminedError
-from stratisolve.gog import GraphOfGroups, to_loop_word
+from stratisolve.gog import GraphOfGroups, LoopWord, to_loop_word
 from stratisolve.graph_model import canonical_tree, parse_graph
 from stratisolve.oracle import Budget
 from stratisolve.pipeline import compile
@@ -117,21 +117,22 @@ def test_word_problem_budget_exhaustion(fixtures):
 def _leftmost_restart(gog, lw):
     """Reference reduction: splice the leftmost reducible pair, then rescan
     the loop from the left."""
+    vs, ws, es = list(lw.vertices), list(lw.vertex_words), list(lw.edges)
     trace, i = [], 0
-    while i + 1 < len(lw.edges):
-        de = lw.edges[i]
+    while i + 1 < len(es):
+        de = es[i]
         mid_end = "black" if de.to_black else "white"
         s = None
-        if lw.edges[i + 1] == de.reverse():
-            s = gog.edge_membership(de.edge, mid_end, lw.vertex_words[i + 1])
+        if es[i + 1] == de.reverse():
+            s = gog.edge_membership(de.edge, mid_end, ws[i + 1])
         if s is None:
             i += 1
             continue
         trace.append(SpliceStep(i, de.edge, mid_end, s))
-        lw, i = _splice(gog, lw, i, s), 0
-    trivial = lw.edge_length == 0 and gog.vertex_handle(gog.basepoint).wp(
-        lw.vertex_words[0])
-    return trivial, lw.edge_length, tuple(trace), lw
+        _splice(gog, vs, ws, es, i, s)
+        i = 0
+    trivial = not es and gog.vertex_handle(gog.basepoint).wp(ws[0])
+    return trivial, len(es), tuple(trace), LoopWord(tuple(vs), tuple(ws), tuple(es))
 
 
 def _disk_capped_chain(links):
