@@ -3,7 +3,8 @@
 Subcommands cover the full pipeline: validate / present / solve / order /
 abelian / sc / wedge plus the oracle tools.  Exit codes: 0 success,
 1 usage error, 2 input parse error, 3 graph invariant violation,
-4 undetermined (order resolution exhausted its budget).  JSON output is
+4 undetermined (order resolution exhausted its budget, or the coset table
+of ``oracle cayley`` did not close).  JSON output is
 deterministic: keys sorted, no timing, byte-identical across runs.
 """
 
@@ -20,6 +21,7 @@ from .errors import (
     DisconnectedError,
     DuplicateNameError,
     GraphSyntaxError,
+    IncompleteTableError,
     NotApplicableError,
     NotZeroTerminalError,
     StratisolveError,
@@ -360,6 +362,9 @@ def run(argv=None) -> int:
             f"undetermined: could not certify orders for: {blacks}",
             file=sys.stderr,
         )
+        return EXIT_UNDETERMINED
+    except IncompleteTableError as exc:
+        print(f"undetermined: {exc}", file=sys.stderr)
         return EXIT_UNDETERMINED
     # invariant violations first: several subclass GraphSyntaxError
     except _INVARIANT_ERRORS as exc:

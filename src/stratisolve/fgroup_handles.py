@@ -25,8 +25,10 @@ pass: syllables lying in the amalgamated (resp. associated) cyclic subgroup
 are detected through factor membership with a witness exponent, transported
 to the other side and merged into the top of a stack of reduced syllables.
 Nonempty pinch-reduced words of length >= 2 are nontrivial by the normal form
-theorem (Britton's lemma for HNN extensions).  Cyclic reduction conjugates
-by the first syllable and pinches at the wrap.
+theorem (Britton's lemma for HNN extensions).  Membership is decided for a
+target in one factor (the base of an HNN handle, one rotation's powers in a
+triangle handle), as every boundary image is: g is reduced once and that
+factor decides.  Other targets raise ``NotImplementedError``.
 """
 
 from __future__ import annotations
@@ -45,9 +47,9 @@ from .local_groups import (
     TRIVIAL_HANDLE,
     cyclic_group,
     free_group,
-    length_law_exponent,
+    solve_congruence,
 )
-from .words import EMPTY, Word, concat, free_reduce, genus_word, inverse, power
+from .words import EMPTY, Word, concat, genus_word, inverse, power
 
 
 # ---------------------------------------------------------------------------
@@ -58,8 +60,6 @@ class AmalgamHandle(GroupHandle):
     """Free product of two handles amalgamated over an infinite cyclic
     subgroup.  Both factors must be FreeProductOfCyclics (they own the
     cyclic-membership machinery the pinch reduction needs)."""
-
-    orders_assumed = True
 
     def __init__(self, a: FreeProductOfCyclics, b: FreeProductOfCyclics,
                  z_a: Word, z_b: Word):
@@ -142,66 +142,26 @@ class AmalgamHandle(GroupHandle):
         sylls, k = self.pinch_reduce(w)
         return not sylls and k == 0
 
-    def _cyclic_pinch_reduce(self, w: Word):
-        """Conjugate until the pinched form is cyclically reduced.
-
-        Returns (conjugator_word u, syllables r, c_exp) with w = u r u^-1."""
-        u: list = []
-        sylls, k = self.pinch_reduce(w)
-        while len(sylls) >= 2 and sylls[0][0] == sylls[-1][0]:
-            side, first = sylls[0]
-            u.extend(first)
-            merged = self.factors[side].normal_form(
-                concat(sylls[-1][1], first)
-            )
-            rest = sylls[1:-1] + [(side, merged)]
-            word = free_reduce(
-                [pair for _, sw in rest for pair in sw]
-            )
-            sylls, k = self.pinch_reduce(word)
-        return free_reduce(u), sylls, k
-
-    def elem_order(self, w: Word) -> int:
-        u, sylls, k = self._cyclic_pinch_reduce(w)
-        if not sylls:
-            return 1 if k == 0 else 0
-        if len(sylls) == 1:
-            side, word = sylls[0]
-            return self.factors[side].elem_order(word)
-        return 0
-
     def cyclic_membership(self, g: Word, t: Word):
-        """Lemma-style membership for cyclic subgroups.
+        """k with g = t^k, or None, for a target t in one factor.
 
-        Uses the length law l(t^k) = k l(t) on cyclically pinch-reduced
-        targets; single-syllable targets delegate to the factor."""
-        u, r_sylls, r_k = self._cyclic_pinch_reduce(t)
-        gp = concat(inverse(u), g, u)
-        if not r_sylls:
-            # t = z^j inside C
-            g_sylls, g_k = self.pinch_reduce(gp)
-            if g_sylls:
-                return None
-            if r_k == 0:
-                return 0 if g_k == 0 else None
-            if g_k % r_k:
-                return None
-            return g_k // r_k
-        if len(r_sylls) == 1:
-            side, r_word = r_sylls[0]
-            g_sylls, g_k = self.pinch_reduce(gp)
-            if not g_sylls:
-                g_word: Word = power(self.z[side], g_k)
-            elif len(g_sylls) == 1 and g_sylls[0][0] == side:
-                g_word = g_sylls[0][1]
-            else:
-                return None
-            return self.factors[side].cyclic_membership(g_word, r_word)
-        r_word = free_reduce([pair for _, sw in r_sylls for pair in sw])
-        g_sylls, g_k = self.pinch_reduce(gp)
+        A pinch-reduced word of two or more syllables lies in neither
+        factor (normal form theorem), so g lies in t's factor exactly when
+        it reduces to z^k or to one syllable on that side."""
+        sylls = self._split(t)
+        if len(sylls) > 1:
+            raise NotImplementedError(
+                "AmalgamHandle decides membership only for targets in one factor"
+            )
+        side, t_word = sylls[0] if sylls else (0, EMPTY)
+        g_sylls, k = self.pinch_reduce(g)
         if not g_sylls:
-            return 0 if g_k == 0 else None
-        return length_law_exponent(self, gp, r_word, len(g_sylls), len(r_sylls))
+            word = power(self.z[side], k)
+        elif len(g_sylls) == 1 and g_sylls[0][0] == side:
+            word = g_sylls[0][1]
+        else:
+            return None
+        return self.factors[side].cyclic_membership(word, t_word)
 
 
 # ---------------------------------------------------------------------------
@@ -212,8 +172,6 @@ class HNNHandle(GroupHandle):
     """HNN extension < A, t : t^-1 u t = v > with u, v of infinite order in
     the base A.  Pinches follow Britton's lemma: t^-1 u^k t -> v^k and
     t v^k t^-1 -> u^k."""
-
-    orders_assumed = True
 
     def __init__(self, base: FreeProductOfCyclics, stable: str, u: Word, v: Word):
         if base.elem_order(u) != 0 or base.elem_order(v) != 0:
@@ -267,58 +225,22 @@ class HNNHandle(GroupHandle):
             out += [e, a]
         return out
 
-    def _t_count(self, toks) -> int:
-        return (len(toks) - 1) // 2
-
     def wp(self, w: Word) -> bool:
         toks = self._britton(self._tokens(w))
-        return self._t_count(toks) == 0 and self.base.wp(toks[0])
-
-    def _cyclic_britton(self, w: Word):
-        """Return (conj, toks) with w = conj * r * conj^-1, r cyclically
-        Britton-reduced: conjugate by the first piece, then pinch at the
-        wrap t^e_n p_n t^e_1 while e_1 = -e_n, peeling t^e_1 off each time.
-        Only the wrap changes, so the inner pieces stay refuted."""
-        conj: list = []
-        toks = self._britton(self._tokens(w))
-        while len(toks) > 1:
-            first = toks[0]
-            conj.extend(first)
-            toks[0] = EMPTY
-            toks[-1] = self.base.normal_form(concat(toks[-1], first))
-            rep = self._pinch(toks[-2], toks[-1]) if toks[1] == -toks[-2] else None
-            if rep is None:
-                break
-            conj.append((self.stable, toks[1]))
-            toks = toks[2:-3] + [self.base.normal_form(concat(toks[-3], rep))]
-        return free_reduce(conj), toks
-
-    def elem_order(self, w: Word) -> int:
-        conj, toks = self._cyclic_britton(w)
-        if self._t_count(toks) >= 1:
-            return 0
-        return self.base.elem_order(toks[0])
+        return len(toks) == 1 and self.base.wp(toks[0])
 
     def cyclic_membership(self, g: Word, t: Word):
-        """k with g = t^k, or None: a t conjugate into the base delegates
-        to the base; otherwise the length law pins k."""
-        conj, r_toks = self._cyclic_britton(t)
-        n_r = self._t_count(r_toks)
-        gp = concat(inverse(conj), g, conj)
-        g_toks = self._britton(self._tokens(gp))
-        n_g = self._t_count(g_toks)
-        if n_r == 0:
-            return None if n_g else self.base.cyclic_membership(g_toks[0], r_toks[0])
-        return length_law_exponent(self, gp, self._toks_to_word(r_toks), n_g, n_r)
-
-    def _toks_to_word(self, toks) -> Word:
-        pairs: list = []
-        for i, tok in enumerate(toks):
-            if i % 2 == 0:
-                pairs.extend(tok)
-            else:
-                pairs.append((self.stable, tok))
-        return free_reduce(pairs)
+        """k with g = t^k, or None, for a target t in the base.  By
+        Britton's lemma g lies in the base exactly when its reduction keeps
+        no stable letter."""
+        if any(name == self.stable for name, _ in t):
+            raise NotImplementedError(
+                "HNNHandle decides membership only for targets in the base"
+            )
+        toks = self._britton(self._tokens(g))
+        if len(toks) > 1:
+            return None
+        return self.base.cyclic_membership(toks[0], t)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +256,6 @@ class TriangleHandle(GroupHandle):
     c1 = s2 s3, c2 = s3 s1, c3 = s1 s2.  The geometric representation of a
     Coxeter group is faithful, and the von Dyck group is its even subgroup,
     so a word is trivial iff its matrix is the identity."""
-
-    orders_assumed = True
 
     def __init__(self, names: tuple[str, str, str], orders: tuple[int, int, int]):
         if any(k < 2 for k in orders):
@@ -402,39 +322,23 @@ class TriangleHandle(GroupHandle):
     def wp(self, w: Word) -> bool:
         return self.matrix(w).is_identity()
 
-    def elem_order(self, w: Word) -> int:
-        """Torsion elements are conjugate into the cyclic <c_i>, so finite
-        orders divide lcm(k1,k2,k3); anything else has infinite order."""
-        m = self.matrix(w)
-        if m.is_identity():
-            return 1
-        for n in sorted(_divisors(self.L))[1:]:
-            if m.pow(n).is_identity():
-                return n
-        return 0
-
     def cyclic_membership(self, g: Word, t: Word):
-        n = self.elem_order(t)
-        if n == 0:
-            # edge groups at a triangle handle are finite, so the solver
-            # never asks; refuse rather than answer from a bounded scan
+        """k with g = t^k, or None, for t empty or one letter c^e: g must be
+        c^j for a j found in the power table of c."""
+        if not t:
+            return 0 if self.wp(g) else None
+        if len(t) > 1:
             raise NotImplementedError(
-                "TriangleHandle has no membership procedure for "
-                "infinite-order targets"
+                "TriangleHandle decides membership only for powers of one letter"
             )
-        mg = self.matrix(g)
-        mt = self.matrix(t)
-        acc = Mat3.identity(self.field)
-        for k in range(n):
-            if acc == mg:
-                return k
-            acc = acc * mt
-        return None
-
-
-def _divisors(n: int) -> list[int]:
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+        (name, e), = t
+        pw = self._powers.get(name)
+        if pw is None:
+            raise UnknownLetterError(f"unknown letter {name!r}")
+        m = self.matrix(g)
+        if m not in pw:
+            return None
+        return solve_congruence(e, pw.index(m), len(pw))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +378,7 @@ class WhiteHandle:
         object.__setattr__(self, "boundary_images", images)
 
     def boundary_order(self, name: str) -> int:
+        """Order of a boundary image (``FreeProductOfCyclics`` handles)."""
         return self.handle.elem_order(self.boundary_images[name])
 
 

@@ -59,12 +59,15 @@ def boundary_mismatches(
 ) -> Iterator[tuple[Edge, int, int]]:
     """(edge, computed, required) for each edge whose boundary image has a
     computed order other than the edge-group order under sigma, whites in
-    order and each white's edges in order.  Handles whose orders rest on
-    amalgam/HNN/reflection theory are exact and skipped; on the black side
-    b^label has order sigma/gcd(sigma, |label|) by construction."""
+    order and each white's edges in order.  Only free products of cyclics
+    are checked: there a merged curve can change order (curves of orders
+    k1, k2 on a disk give gcd(k1, k2)), while in an amalgam, HNN or triangle
+    handle each curve keeps its order by the normal form theorem or the
+    faithful reflection representation.  On the black side b^label has
+    order sigma/gcd(sigma, |label|) by construction."""
     for w in g.white_names():
         wh = white_handles[w]
-        if wh.handle.orders_assumed:
+        if not isinstance(wh.handle, FreeProductOfCyclics):
             continue
         for e in g.edges_at_white(w):
             required = edge_group_order(sigma[e.black], e.label)

@@ -5,11 +5,15 @@ group, free groups (all letter orders 0) and arbitrary mixtures; it is the
 workhorse vertex-group implementation and the factor type used inside
 amalgam and HNN handles.
 
-Every handle implements the shared contract:
+Every handle implements the contract the graph-of-groups splice needs:
 
   wp(word) -> bool                 word problem
-  elem_order(word) -> int          0 means infinite order
-  cyclic_membership(g, t) -> k     g = t^k, or None
+  cyclic_membership(g, t) -> k     g = t^k, or None, for a target t in one
+                                   factor (every edge-group image is one)
+
+``FreeProductOfCyclics`` decides membership for any target and computes
+element orders, which the handle constructors and the boundary-order check
+of ``gog.boundary_mismatches`` need.
 
 Witness exponents are returned (not just booleans) because splicing in the
 graph-of-groups solver must transport edge-group elements to the other end.
@@ -30,38 +34,12 @@ class GroupHandle:
     #: letter name -> order (0 = infinite); None means "not letter-based"
     letters: dict[str, int]
 
-    #: True when designated-generator orders rest on normal-form theory for
-    #: an amalgam/HNN/reflection handle rather than direct computation
-    orders_assumed: bool = False
-
     def wp(self, w: Word) -> bool:
         raise NotImplementedError
 
-    def elem_order(self, w: Word) -> int:
-        raise NotImplementedError
-
     def cyclic_membership(self, g: Word, t: Word):
-        """Return k with g = t^k, or None."""
+        """Return k with g = t^k, or None, for a t in one factor."""
         raise NotImplementedError
-
-
-def length_law_exponent(
-    handle: GroupHandle, g: Word, r: Word, n_g: int, n_r: int
-):
-    """k with g = r^k, or None, for a cyclically reduced r of reduced length
-    n_r and a g of reduced length n_g.
-
-    In free products, amalgams and HNN extensions the length law
-    l(r^k) = |k| l(r) holds for cyclically reduced r, so only k = +-n_g/n_r
-    can work and both signs are checked (n_g = 0 leaves k = 0: g = 1)."""
-    if n_r == 0 or n_g % n_r:
-        return None
-    k = n_g // n_r
-    if handle.wp(concat(g, power(inverse(r), k))):
-        return k
-    if k and handle.wp(concat(g, power(r, k))):
-        return -k
-    return None
 
 
 def solve_congruence(a: int, b: int, n: int):
@@ -156,8 +134,9 @@ class FreeProductOfCyclics(GroupHandle):
         """k with g = t^k, or None.
 
         Cyclically reduce t = u r u^-1.  A single-syllable r reduces to
-        exponent arithmetic in that letter's cyclic group; for length >= 2
-        the law l(r^k) = k l(r) pins |k| and both signs are checked."""
+        exponent arithmetic in that letter's cyclic group.  For length >= 2
+        the length law l(r^k) = |k| l(r) of a cyclically reduced r leaves
+        only k = +-l(g)/l(r), and both signs are checked."""
         tn = self.normal_form(t)
         gn = self.normal_form(g)
         if not tn:
@@ -173,7 +152,14 @@ class FreeProductOfCyclics(GroupHandle):
             return solve_congruence(r[0][1], gp[0][1], n)
         if not gp:
             return 0
-        return length_law_exponent(self, gp, r, len(gp), len(r))
+        if len(gp) % len(r):
+            return None
+        k = len(gp) // len(r)
+        if self.wp(concat(gp, power(inverse(r), k))):
+            return k
+        if self.wp(concat(gp, power(r, k))):
+            return -k
+        return None
 
 
 def cyclic_group(name: str, order: int) -> FreeProductOfCyclics:

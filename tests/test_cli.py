@@ -127,6 +127,15 @@ def test_oracle_cayley(fx, capsys):
     assert json.loads(out_of(capsys))["trivial"] is False
 
 
+def test_oracle_cayley_undetermined_on_an_infinite_group(fx, capsys):
+    # Z x Z has no finite coset table: the oracle does not decide, and
+    # that is exit 4, not an invariant violation
+    assert run(["--json", "oracle", fx("FX-TOR"), "cayley", "y.w1.1"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip() == "undetermined: coset table did not close"
+
+
 def test_oracle_quotients(fx, capsys):
     assert run(["--json", "oracle", fx("FX-Z3"), "quotients", "3"]) == 0
     data = json.loads(out_of(capsys))

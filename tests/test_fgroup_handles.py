@@ -1,4 +1,5 @@
 import random
+from math import lcm
 
 import pytest
 
@@ -12,11 +13,20 @@ from stratisolve.fgroup_handles import (
 from stratisolve.local_groups import FreeProductOfCyclics, cyclic_group, free_group
 from stratisolve.oracle import cayley_wp, todd_coxeter
 from stratisolve.pipeline import compile
-from stratisolve.words import concat, inverse, power
+from stratisolve.words import concat, genus_word, inverse, power
 
 
 def comm(u, v):
     return concat(u, v, inverse(u), inverse(v))
+
+
+def _order_by_wp(h, w):
+    """Order of w in handle h (0 = infinite): the least j in 1..N with
+    w^j = 1, N the lcm of the finite letter orders.  A torsion element of
+    these amalgams, HNN extensions and von Dyck groups is conjugate into a
+    cyclic letter subgroup, so its order divides N."""
+    n = lcm(*(k for k in h.letters.values() if k))
+    return next((j for j in range(1, n + 1) if h.wp(power(w, j))), 0)
 
 
 # -- amalgamated products ----------------------------------------------------
@@ -37,21 +47,16 @@ def test_amalgam_wp():
     # a^2 = b^-2 commutes with b, so [a^2, b] = 1 indeed.
 
 
-def test_amalgam_orders_assumed():
-    h = klein_bottle()
-    assert h.orders_assumed
-
-
 def test_amalgam_elem_order():
     # (Z/4 * Z) *_{x = b^2} Z: finite letter orders survive the amalgam
     a = FreeProductOfCyclics((("a", 4), ("x", 0)))
     b = cyclic_group("b", 0)
     h = AmalgamHandle(a, b, (("x", 1),), (("b", 2),))
-    assert h.elem_order((("a", 1),)) == 4
-    assert h.elem_order((("a", 2),)) == 2
-    assert h.elem_order((("b", 1),)) == 0
-    assert h.elem_order((("a", 1), ("b", 1))) == 0
-    assert h.elem_order(()) == 1
+    assert _order_by_wp(h, (("a", 1),)) == 4
+    assert _order_by_wp(h, (("a", 2),)) == 2
+    assert _order_by_wp(h, (("b", 1),)) == 0
+    assert _order_by_wp(h, (("a", 1), ("b", 1))) == 0
+    assert _order_by_wp(h, ()) == 1
     assert h.wp((("x", 1), ("b", -2)))
 
 
@@ -64,10 +69,18 @@ def test_amalgam_requires_infinite_amalgamated_element():
 
 def test_amalgam_cyclic_membership():
     h = klein_bottle()
-    t = (("a", 1), ("b", 1))
+    t = (("a", 1),)
     for k in (-2, 0, 3):
         assert h.cyclic_membership(power(t, k), t) == k
-    assert h.cyclic_membership((("a", 1),), t) is None
+    assert h.cyclic_membership((("b", -2),), t) == 2  # a^2 = b^-2
+    b = (("b", 1),)
+    assert h.cyclic_membership((("a", 2),), b) == -2
+    assert h.cyclic_membership((("a", 2), ("b", 1)), b) == -1
+    assert h.cyclic_membership((("b", 1),), t) is None
+    assert h.cyclic_membership((("a", 1), ("b", 1)), t) is None
+    # a target with a syllable in each factor is refused, never guessed
+    with pytest.raises(NotImplementedError):
+        h.cyclic_membership((("a", 1), ("b", 1)), (("a", 1), ("b", 1)))
 
 
 # -- HNN extensions ----------------------------------------------------------
@@ -94,16 +107,19 @@ def test_hnn_wp_britton():
 
 def test_hnn_elem_order_and_membership():
     h = bs_1_2()
-    assert h.elem_order((("t", 1),)) == 0
-    assert h.elem_order((("b", 3),)) == 0
-    assert h.elem_order(()) == 1
+    assert _order_by_wp(h, (("t", 1),)) == 0
+    assert _order_by_wp(h, (("b", 3),)) == 0
+    assert _order_by_wp(h, ()) == 1
+    b = (("b", 1),)
+    assert h.cyclic_membership((("b", 2),), b) == 2
+    assert h.cyclic_membership((("t", -1), ("b", 1), ("t", 1)), b) == 2
+    assert h.cyclic_membership((("t", 1),), b) is None
+    # targets with a stable letter are refused, never guessed
     t = (("t", 1), ("b", 1))
-    assert h.cyclic_membership(power(t, 2), t) == 2
-    assert h.cyclic_membership((("b", 1),), (("t", 1),)) is None
-
-
-def test_hnn_orders_assumed():
-    assert bs_1_2().orders_assumed
+    with pytest.raises(NotImplementedError):
+        h.cyclic_membership(power(t, 2), t)
+    with pytest.raises(NotImplementedError):
+        h.cyclic_membership(b, (("t", 1),))
 
 
 # -- one-pass pinch and Britton reductions ---------------------------------------
@@ -147,33 +163,42 @@ def test_britton_nested_cascade():
 
 
 def test_hnn_membership_of_targets_conjugate_into_the_base():
+    """A g written with stable letters is decided after Britton reduction;
+    a target conjugate into the base but not in it is refused."""
     h = bs_1_2()
-    t = (("t", 1), ("b", 1), ("t", -1))
-    assert h.cyclic_membership((("t", 1), ("b", 2), ("t", -1)), t) == 2
-    assert h.cyclic_membership((("t", 1), ("b", 3), ("t", -1)), t) == 3
-    # t^-1 b t = b^2, so b = t b^2 t^-1
-    assert h.cyclic_membership((("b", 1),), t) == 2
-    assert h.cyclic_membership((("t", 1),), t) is None
+    b = (("b", 1),)
+    # t^-1 b t = b^2, so t b^2 t^-1 = b
+    assert h.cyclic_membership((("t", 1), ("b", 2), ("t", -1)), b) == 1
+    assert h.cyclic_membership((("t", 1), ("b", 3), ("t", -1)), b) is None
+    with pytest.raises(NotImplementedError):
+        h.cyclic_membership(b, (("t", 1), ("b", 1), ("t", -1)))
     torus = white_handle(spec([3], 1, 2)).handle
     c, y = (("c1", 1),), (("y2", 1),)
     g = concat(y, power(c, 2), inverse(y))
-    assert torus.cyclic_membership(g, concat(y, c, inverse(y))) == 2
-    assert torus.cyclic_membership(concat(y, c), concat(y, c, inverse(y))) is None
+    assert torus.cyclic_membership(g, c) is None
+    with pytest.raises(NotImplementedError):
+        torus.cyclic_membership(g, concat(y, c, inverse(y)))
 
 
 @pytest.mark.parametrize("genus", [1, 2, 3])
 @pytest.mark.parametrize("curve", [None, 2, 3])
 def test_hnn_membership_finds_every_power(genus, curve):
-    """g = t^k over conjugated random t: a witness always comes back, and
-    it is verified by the word problem."""
+    """g = t^k for random base targets t, written with conjugated HNN
+    relators spliced in: a witness always comes back, and it is verified
+    by the word problem."""
     h = white_handle(spec([] if curve is None else [curve], genus, 2 * genus)).handle
     assert isinstance(h, HNNHandle)
+    s = h.stable
+    relator = concat(((s, -1),), h.u, ((s, 1),), inverse(h.v))
+    assert h.wp(relator)
     rng = random.Random(10 * genus + (curve or 0))
     letters = sorted(h.letters)
+    base_letters = sorted(h.base.letters)
     for _ in range(40):
+        t = _random_word(rng, base_letters, rng.randint(1, 4))
         x = _random_word(rng, letters, rng.randint(0, 3))
-        t = concat(x, _random_word(rng, letters, rng.randint(1, 4)), inverse(x))
-        g = power(t, rng.randint(-3, 3))
+        r = power(relator, rng.choice((-1, 1)))
+        g = concat(x, r, inverse(x), power(t, rng.randint(-3, 3)))
         k = h.cyclic_membership(g, t)
         assert k is not None and h.wp(concat(g, power(t, -k)))
 
@@ -186,14 +211,14 @@ def test_triangle_235_wp():
     assert h.wp((("c2", 3),))
     assert h.wp((("c1", 1), ("c2", 1), ("c3", 1)))
     assert not h.wp((("c1", 1), ("c2", 1)))
-    assert h.elem_order((("c1", 1), ("c2", 1))) == 5  # (c1 c2) = c3^-1
-    assert h.elem_order((("c3", 1),)) == 5
+    assert _order_by_wp(h, (("c1", 1), ("c2", 1))) == 5  # (c1 c2) = c3^-1
+    assert _order_by_wp(h, (("c3", 1),)) == 5
 
 
 def test_triangle_237_product_order():
     h = TriangleHandle(("c1", "c2", "c3"), (2, 3, 7))
     w = (("c1", 1), ("c2", 1))
-    assert h.elem_order(w) == 7
+    assert _order_by_wp(h, w) == 7
     assert h.wp(power(w, 7))
     for k in range(1, 7):
         assert not h.wp(power(w, k))
@@ -202,7 +227,7 @@ def test_triangle_237_product_order():
 def test_triangle_infinite_element():
     h = TriangleHandle(("c1", "c2", "c3"), (3, 3, 4))
     w = comm((("c1", 1),), (("c2", 1),))
-    assert h.elem_order(w) == 0
+    assert _order_by_wp(h, w) == 0
 
 
 def test_triangle_membership_refuses_infinite_targets():
@@ -219,6 +244,10 @@ def test_triangle_membership():
     t = (("c2", 1),)
     assert h.cyclic_membership((("c2", 2),), t) == 2
     assert h.cyclic_membership((("c1", 1),), t) is None
+    assert h.cyclic_membership((("c2", 1),), (("c2", -1),)) == 2
+    assert h.cyclic_membership((("c3", 1),), (("c3", 2),)) == 3  # 2*3 = 1 mod 5
+    assert h.cyclic_membership((("c1", 1), ("c1", 1)), ()) == 0
+    assert h.cyclic_membership((("c1", 1),), ()) is None
 
 
 @pytest.mark.parametrize("orders", [(2, 3, 5), (2, 3, 7), (2, 4, 5)])
@@ -274,7 +303,6 @@ def test_infinite_boundary_eliminated():
     # eliminated generator expressed in the remaining free product
     img = wh.boundary_images["c2"]
     assert img and all(name != "c2" for name, _ in img)
-    assert not wh.handle.orders_assumed
     assert wh.boundary_order("c1") == 2
     assert wh.boundary_order("c2") == 0
     # the long relation holds under the substitution
@@ -301,8 +329,8 @@ def test_two_boundary_gcd():
 def test_three_boundary_triangle():
     wh = white_handle(spec([2, 3, 5], 0, 0))
     assert wh.kind == "triangle"
-    assert wh.handle.orders_assumed
     h = wh.handle
+    assert isinstance(h, TriangleHandle)
     assert h.wp(concat(*(wh.boundary_images[f"c{i}"] for i in (1, 2, 3))))
 
 
@@ -312,7 +340,7 @@ def test_polygon_amalgam():
     h = wh.handle
     long_rel = concat(*(wh.boundary_images[f"c{i}"] for i in (1, 2, 3, 4)))
     assert h.wp(long_rel)
-    assert h.elem_order(wh.boundary_images["c1"]) == 2
+    assert _order_by_wp(h, wh.boundary_images["c1"]) == 2
     assert not h.wp(concat(wh.boundary_images["c1"], wh.boundary_images["c2"]))
 
 
@@ -323,7 +351,7 @@ def test_positive_genus_with_boundary_hnn():
     # relation c [y1, y2] = 1 holds
     rel = concat(wh.boundary_images["c1"], comm((("y1", 1),), (("y2", 1),)))
     assert h.wp(rel)
-    assert h.elem_order(wh.boundary_images["c1"]) == 3
+    assert _order_by_wp(h, wh.boundary_images["c1"]) == 3
 
 
 def test_projective_with_boundary_cyclic():
@@ -340,7 +368,7 @@ def test_nonorientable_genus2_with_boundary():
     assert wh.kind == "amalgam"
     rel = concat(wh.boundary_images["c1"], (("y1", 2), ("y2", 2)))
     assert wh.handle.wp(rel)
-    assert wh.handle.elem_order(wh.boundary_images["c1"]) == 2
+    assert _order_by_wp(wh.handle, wh.boundary_images["c1"]) == 2
 
 
 def test_closed_surfaces():
@@ -388,7 +416,7 @@ def test_surface_with_at_most_one_curve(genus, curve):
     if curve is not None:
         c = wh.boundary_images["c1"]
         relators = [concat(c, q), power(c, curve)]
-        assert wh.boundary_order("c1") == curve
+        assert _order_by_wp(h, c) == curve
     rng = random.Random(100 * genus + (curve or 0))
     letters = sorted(h.letters)
     for _ in range(20):
@@ -426,7 +454,7 @@ def test_multi_boundary_positive_genus_amalgam():
         comm((("y1", 1),), (("y2", 1),)),
     )
     assert wh.handle.wp(rel)
-    assert wh.handle.elem_order(wh.boundary_images["c2"]) == 3
+    assert _order_by_wp(wh.handle, wh.boundary_images["c2"]) == 3
 
 
 @pytest.mark.parametrize("genus, orders", [
@@ -464,5 +492,69 @@ def test_one_pass_reductions_leave_no_pinch(genus, orders):
             assert all(e in (1, -1) for e in toks[1::2])
             for i in range(1, len(toks) - 2, 2):
                 assert toks[i] != -toks[i + 2] or h._pinch(toks[i], toks[i + 1]) is None
-            reduced = h._toks_to_word(toks)
+            reduced = concat(*(
+                tok if i % 2 == 0 else ((h.stable, tok),)
+                for i, tok in enumerate(toks)
+            ))
         assert h.wp(concat(w, inverse(reduced)))
+
+
+@pytest.mark.parametrize("genus, orders", [
+    (1, [2, 3]), (-3, [2, 2]), (0, [2, 3, 2, 5]), (-2, [3]),  # amalgams
+    (1, [3]), (2, [2]),  # HNN extensions
+    (0, [2, 3, 7]),  # triangle
+    (1, [1, 3]), (0, [1, 2, 3, 5]),  # a vanished curve: an empty image
+])
+def test_boundary_membership_agrees_with_wp(genus, orders):
+    """Membership in each boundary image c of order k, the question the
+    graph-of-groups splice asks: g = c^j with conjugated relators spliced
+    in gets a witness = j (mod k) that the word problem confirms; on random
+    g a witness passes the word problem, and None means no power of c
+    equals g."""
+    n = 2 * genus if genus > 0 else -genus
+    wh = white_handle(spec(orders, genus, n))
+    h = wh.handle
+    images = [wh.boundary_images[f"c{i + 1}"] for i in range(len(orders))]
+    q = genus_word(tuple(f"y{i + 1}" for i in range(n)), genus)
+    relators = [concat(*images, q)]
+    relators += [power(c, k) for c, k in zip(images, orders)]
+    assert all(h.wp(r) for r in relators)
+    rng = random.Random(11 * genus + len(orders))
+    letters = sorted(h.letters)
+
+    def conjugated_relator():
+        x = _random_word(rng, letters, rng.randint(0, 3))
+        return concat(x, power(rng.choice(relators), rng.choice((-1, 1))),
+                      inverse(x))
+
+    for c, k in zip(images, orders):
+        for _ in range(10):
+            j = rng.randint(-2 * k, 2 * k)
+            a = rng.randint(-k, k)
+            g = concat(power(c, a), conjugated_relator(), power(c, j - a),
+                       conjugated_relator())
+            w = h.cyclic_membership(g, c)
+            assert w is not None and (w - j) % k == 0
+            assert h.wp(concat(g, power(c, -w)))
+        for _ in range(10):
+            g = _random_word(rng, letters, rng.randint(0, 6))
+            w = h.cyclic_membership(g, c)
+            if w is None:
+                assert not any(h.wp(concat(g, power(c, -i))) for i in range(k))
+            else:
+                assert h.wp(concat(g, power(c, -w)))
+
+
+def test_membership_refuses_targets_outside_one_factor():
+    amalgam = white_handle(spec([2, 3], 1, 2)).handle
+    assert isinstance(amalgam, AmalgamHandle)
+    with pytest.raises(NotImplementedError):
+        amalgam.cyclic_membership((("c1", 1),), (("c1", 1), ("y1", 1)))
+    hnn = white_handle(spec([3], 1, 2)).handle
+    assert isinstance(hnn, HNNHandle)
+    with pytest.raises(NotImplementedError):
+        hnn.cyclic_membership((("c1", 1),), (("c1", 1), (hnn.stable, 1)))
+    triangle = white_handle(spec([2, 3, 7], 0, 0)).handle
+    assert isinstance(triangle, TriangleHandle)
+    with pytest.raises(NotImplementedError):
+        triangle.cyclic_membership((("c1", 1),), (("c1", 1), ("c2", 1)))
