@@ -40,8 +40,6 @@ from .pipeline import compile
 from .presentation import (
     Presentation,
     abelianization,
-    ab_element_order,
-    ab_image,
     format_word,
     natural_presentation,
     parse_word,

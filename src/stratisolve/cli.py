@@ -36,14 +36,14 @@ from .graph_model import parse_graph
 from .oracle import (
     Budget,
     cayley_wp,
-    derive_trivial,
+    derive_if_h1_trivial,
     finite_quotient_search,
     replay_derivation,
     todd_coxeter,
 )
 from .order_engine import resolve_orders
 from .pipeline import compile
-from .presentation import ab_image, abelianization, format_word, parse_word
+from .presentation import abelianization, format_word, parse_word
 from .serre_solver import word_problem
 
 EXIT_OK = 0
@@ -238,10 +238,7 @@ def cmd_oracle(args) -> int:
             print("error: oracle derive needs a word", file=sys.stderr)
             return EXIT_USAGE
         w = parse_word(args.arg, p)
-        # a word with a nonzero image in H1 has no derivation: skip the search
-        d = None
-        if ab_image(w, abelianization(p)).is_zero():
-            d = derive_trivial(p, w, compiled.budget)
+        d = derive_if_h1_trivial(abelianization(p), w, compiled.budget)
         report = {
             "command": "oracle derive",
             "word": args.arg,

@@ -1,17 +1,15 @@
-"""Exact arithmetic in Q(2cos(pi/L)) and 3x3 matrices over it.
+"""Exact arithmetic in Z[2cos(pi/L)] and 3x3 matrices over it.
 
 Elements are coefficient tuples of polynomials in theta = 2cos(pi/L),
 reduced modulo the minimal polynomial of theta.  That polynomial is monic
 with integer coefficients, so Z[theta] is closed under the ring operations:
 elements built from integers and theta (every entry of a Tits reflection
-matrix) keep plain ``int`` coefficients.  Rational coefficients are still
-accepted and mix freely with integer ones.  Zero tests are exact; no
+matrix) keep plain ``int`` coefficients.  Zero tests are exact; no
 floating point enters any decision path.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import InternalError
@@ -105,9 +103,9 @@ def _zip_pad(a: list, b: list):
 # -- number field --------------------------------------------------------------
 
 class RealCyclotomicField:
-    """Q(theta), theta = 2cos(pi/L).  Elements are coefficient tuples of
-    length deg(minpoly), reduced mod the minimal polynomial; coefficients
-    are ints, or Fractions where a rational was put in."""
+    """Z[theta], theta = 2cos(pi/L), inside Q(theta).  Elements are integer
+    coefficient tuples of length deg(minpoly), reduced mod the minimal
+    polynomial."""
 
     def __init__(self, L: int):
         self.L = L
@@ -120,13 +118,10 @@ class RealCyclotomicField:
         return (0,) * self.degree
 
     def one(self):
-        return self.from_rational(1)
+        return self.from_int(1)
 
-    def from_rational(self, q):
-        q = Fraction(q)
-        out = [0] * self.degree
-        out[0] = q.numerator if q.denominator == 1 else q
-        return tuple(out)
+    def from_int(self, n: int):
+        return (n,) + (0,) * (self.degree - 1)
 
     def theta(self):
         if self.degree == 1:
@@ -144,7 +139,7 @@ class RealCyclotomicField:
         if self.L % k:
             raise ValueError(f"{k} does not divide L={self.L}")
         n = self.L // k
-        z_prev = self.from_rational(2)
+        z_prev = self.from_int(2)
         z_cur = self.theta()
         if n == 0:
             raise ValueError("k must be positive")

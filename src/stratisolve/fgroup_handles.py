@@ -282,7 +282,7 @@ class TriangleHandle(GroupHandle):
                     val = f.one() if r == cidx else f.zero()
                     if r == i:
                         if cidx == i:
-                            val = f.sub(val, f.from_rational(2))
+                            val = f.sub(val, f.from_int(2))
                         else:
                             val = f.add(val, f.two_cos_pi_over(m[(i, cidx)]))
                     row.append(val)

@@ -103,7 +103,9 @@ def _validate(g: StratifoldGraph) -> None:
     wnames = [w.name for w in g.whites]
     bnames = [b.name for b in g.blacks]
     enames = [e.name for e in g.edges]
-    for names, sort in ((wnames, "white"), (bnames, "black"), (enames, "edge")):
+    # whites and blacks share one namespace: the tree and the presentation
+    # tell vertices apart by name alone
+    for names, sort in ((wnames + bnames, "vertex"), (enames, "edge")):
         seen = set()
         for n in names:
             if n in seen:

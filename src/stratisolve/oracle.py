@@ -5,7 +5,9 @@ cross-check it:
 
 * ``derive_trivial``: budgeted best-first search for an explicit rewrite of
   a word to the empty word using only defining relators.  Successful
-  searches return a replayable :class:`Derivation`.
+  searches return a replayable :class:`Derivation`.  The order engine and
+  the CLI reach it through ``derive_if_h1_trivial``, which runs no search
+  that H1 refutes.
 * ``todd_coxeter``: HLT-style coset enumeration over the trivial subgroup.
 * ``cayley_wp``: evaluate a word on a completed coset table.
 * ``finite_quotient_search``: backtracking enumeration of transitive
@@ -21,7 +23,7 @@ from itertools import count
 from math import gcd
 
 from .errors import IncompleteTableError
-from .presentation import Presentation
+from .presentation import Abelianization, Presentation
 from .words import (
     EMPTY,
     Word,
@@ -177,6 +179,15 @@ def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET):
                     heap, (size, ins + 1, next(tick), nxt, steps + (step,))
                 )
     return None
+
+
+def derive_if_h1_trivial(ab: Abelianization, w: Word, budget: Budget):
+    """``derive_trivial`` behind the H1 screen: G -> H1 is a homomorphism,
+    so a word whose image in H1 is nontrivial has no derivation, and None
+    comes back without a search."""
+    if ab.order(w) != 1:
+        return None
+    return derive_trivial(ab.presentation, w, budget)
 
 
 # -- derivation algebra ----------------------------------------------------

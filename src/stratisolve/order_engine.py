@@ -10,10 +10,11 @@ upper bounds certified by explicit relator derivations are ever used:
   boundary-image order d with the required edge-group order k; a mismatch
   yields the true relation c^d = 1, hence b^{|m| d} = 1, which must itself
   be certified by derivation before it is folded in;
-* H1 screen: no search runs for b^n when the order h of b in the
-  abelianization H1 is infinite or does not divide n — G -> H1 is a
-  homomorphism, so b^n = 1 in G forces n [b] = 0 in H1, i.e. h | n, and
-  such a search could only fail;
+* H1 screen: every search goes through ``oracle.derive_if_h1_trivial``,
+  which runs none for b^n when the order h of b in the abelianization H1
+  is infinite or does not divide n — G -> H1 is a homomorphism, so b^n = 1
+  in G forces n [b] = 0 in H1, i.e. h | n, and such a search could only
+  fail;
 * gcd closure: certificates for b^e1 and b^e2 compose (via the extended
   gcd) into a certificate for b^gcd(e1,e2) with no extra search.
 
@@ -50,17 +51,8 @@ from typing import Mapping
 from .errors import UndeterminedError
 from .gog import boundary_mismatches, build_white_handle
 from .graph_model import StratifoldGraph
-from .oracle import (
-    Budget,
-    Derivation,
-    derivation_gcd,
-    derive_trivial,
-)
-from .presentation import (
-    Presentation,
-    ab_element_order,
-    abelianization,
-)
+from .oracle import Budget, Derivation, derivation_gcd, derive_if_h1_trivial
+from .presentation import Presentation, abelianization
 
 
 @dataclass(frozen=True)
@@ -93,11 +85,11 @@ class _Certificates:
         self.pres = pres
         self.budget = budget
         self.best: dict[str, tuple[int, Derivation]] = {}
-        ab = abelianization(pres)
+        self.ab = abelianization(pres)
         #: order of each b in H1 (0 = infinite), which divides every
         #: certifiable exponent
         self.h1: dict[str, int] = {
-            b: ab_element_order(((f"b.{b}", 1),), ab)
+            b: self.ab.order(((f"b.{b}", 1),))
             for b in pres.graph.black_names()
         }
 
@@ -121,11 +113,7 @@ class _Certificates:
     def try_derive(self, black: str, exp: int) -> bool:
         """Search for a certificate of b^exp; fold it in when found.  No
         search runs when H1 already refutes b^exp = 1."""
-        h = self.h1[black]
-        if h == 0 or exp % h:
-            return False
-        word = ((f"b.{black}", exp),)
-        d = derive_trivial(self.pres, word, self.budget)
+        d = derive_if_h1_trivial(self.ab, ((f"b.{black}", exp),), self.budget)
         if d is None:
             return False
         self.add(black, d)

@@ -13,12 +13,17 @@ Relators, one per white vertex, one per tree edge and one per non-tree edge:
                             genus word of the white vertex)
   b^m . c^-1               for a tree edge with label m >= 1
   t^-1 . c . t . b^-m      for a non-tree edge with label m
+
+Its abelianization H1 (a Smith normal form, Holt-Eick-O'Brien) answers one
+question, the order of a word's image (``Abelianization.order``), which
+``oracle.derive_if_h1_trivial`` uses to skip searches that H1 refutes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import gcd, lcm
 
 from .errors import TreeEdgeStableError, UnknownGeneratorError, WordSyntaxError
 from .graph_model import MaximalTree, StratifoldGraph
@@ -129,6 +134,9 @@ def format_word(w: Word) -> str:
 
 @dataclass(frozen=True)
 class Abelianization:
+    """H1 as D = U A V: a word with exponent-sum vector x has coordinates
+    u = x V, u_j in Z/d_j (in Z where d_j = 0 or j is past the diagonal)."""
+
     presentation: Presentation
     diagonal: tuple[int, ...]
     colbasis: tuple[tuple[int, ...], ...]  # V, columns operated
@@ -141,14 +149,21 @@ class Abelianization:
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d > 1)
 
-
-@dataclass(frozen=True)
-class AbelianizedImage:
-    vector: tuple[int, ...]
-    reduced: tuple[int, ...]
-
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.reduced)
+    def order(self, w: Word) -> int:
+        """Order of the image of w in H1 (0 = infinite, 1 = trivial), read
+        from one row of V per letter of w."""
+        p = self.presentation
+        u = [0] * len(p.generators)
+        for name, exp in w:
+            u = [a + exp * x for a, x in zip(u, self.colbasis[p.index(name)])]
+        order = 1
+        for j, uj in enumerate(u):
+            d = self.diagonal[j] if j < len(self.diagonal) else 0
+            if d > 0:
+                order = lcm(order, d // gcd(d, uj))
+            elif uj:
+                return 0
+        return order
 
 
 def abelianization(p: Presentation) -> Abelianization:
@@ -161,33 +176,3 @@ def abelianization(p: Presentation) -> Abelianization:
         rows.append(row)
     diag, v = smith_normal_form(rows, n)
     return Abelianization(p, tuple(diag), tuple(tuple(r) for r in v))
-
-
-def ab_element_order(w: Word, ab: Abelianization) -> int:
-    """Order of the image of w in the abelianized group (0 = infinite)."""
-    from math import gcd, lcm
-
-    img = ab_image(w, ab)
-    order = 1
-    for j, u in enumerate(img.reduced):
-        d = ab.diagonal[j] if j < len(ab.diagonal) else 0
-        if d > 0:
-            order = lcm(order, d // gcd(d, u or d))
-        elif u != 0:
-            return 0
-    return order
-
-
-def ab_image(w: Word, ab: Abelianization) -> AbelianizedImage:
-    p = ab.presentation
-    n = len(p.generators)
-    vec = [0] * n
-    for name, exp in w:
-        vec[p.index(name)] += exp
-    # coordinates in the SNF column basis: u = vec . V
-    u = [sum(vec[i] * ab.colbasis[i][j] for i in range(n)) for j in range(n)]
-    reduced = []
-    for j in range(n):
-        d = ab.diagonal[j] if j < len(ab.diagonal) else 0
-        reduced.append(u[j] % d if d > 0 else u[j])
-    return AbelianizedImage(tuple(vec), tuple(reduced))

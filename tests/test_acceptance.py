@@ -23,7 +23,6 @@ from stratisolve.oracle import (
 from stratisolve.order_engine import resolve_orders
 from stratisolve.pipeline import compile
 from stratisolve.presentation import (
-    ab_image,
     abelianization,
     genus_word,
     surface_names,
@@ -156,7 +155,7 @@ def test_criterion_04_infinite_circle_order(fixtures, capsys):
     # abelianization cross-check: t survives rationally
     pres = compile(g).pres
     ab = abelianization(pres)
-    _check(failures, not ab_image((("t.e2", 1),), ab).is_zero(),
+    _check(failures, ab.order((("t.e2", 1),)) == 0,
            "t vanishes in the abelianization")
     rel = "t.e2^-1 * c.e2 * t.e2 * b.b1^-2"
     _check(failures, word_problem(g, rel).trivial, "relator not trivial")
@@ -366,7 +365,7 @@ def test_criterion_08_abelianization_consistency(fixtures, capsys):
             w = _random_word(rng, pres.generators, 6)
             total += 1
             trivial = _solve_word(gog, w).trivial
-            zero = ab_image(w, ab).is_zero()
+            zero = ab.order(w) == 1
             # trivial => zero image; equivalently nonzero image => nontrivial
             if trivial and not zero:
                 violations += 1

@@ -59,6 +59,9 @@ def test_syntax_error_carries_line():
     "text,error",
     [
         ("white w genus 0\nwhite w genus 1\n", DuplicateNameError),
+        # a white and a black of one name were merged by the tree
+        ("white x genus 0\nwhite w2 genus 0\nblack x\n"
+         "edge e1 x x 1\nedge e2 w2 x 2\n", DuplicateNameError),
         ("white w genus 0\nblack b\nedge e w b 0\n", ZeroLabelError),
         ("white w genus 0\nblack b\nedge e w nope 3\n", DanglingEdgeError),
         ("white w genus 0\nblack b\nedge e w b 2\n", BlackDegreeError),
