@@ -43,7 +43,6 @@ from .errors import InternalError, UnknownLetterError
 from .exactfield import Mat3, RealCyclotomicField
 from .local_groups import (
     FreeProductOfCyclics,
-    GroupHandle,
     TRIVIAL_HANDLE,
     cyclic_group,
     free_group,
@@ -56,7 +55,7 @@ from .words import EMPTY, Word, concat, genus_word, inverse, power
 # amalgams  A *_C B  with C = <z_A> = <z_B> infinite cyclic
 # ---------------------------------------------------------------------------
 
-class AmalgamHandle(GroupHandle):
+class AmalgamHandle:
     """Free product of two handles amalgamated over an infinite cyclic
     subgroup.  Both factors must be FreeProductOfCyclics (they own the
     cyclic-membership machinery the pinch reduction needs)."""
@@ -72,14 +71,9 @@ class AmalgamHandle(GroupHandle):
             raise ValueError(f"factor letters overlap: {overlap}")
         self.factors = (a, b)
         self.z = (a.normal_form(z_a), b.normal_form(z_b))
+        self.letters = {**a.letters, **b.letters}
         self._side = {name: 0 for name in a.letters}
         self._side.update({name: 1 for name in b.letters})
-
-    @property
-    def letters(self):
-        out = dict(self.factors[0].letters)
-        out.update(self.factors[1].letters)
-        return out
 
     # -- syllables -------------------------------------------------------------
 
@@ -168,7 +162,7 @@ class AmalgamHandle(GroupHandle):
 # HNN extensions of a free product of cyclics with cyclic associated subgroups
 # ---------------------------------------------------------------------------
 
-class HNNHandle(GroupHandle):
+class HNNHandle:
     """HNN extension < A, t : t^-1 u t = v > with u, v of infinite order in
     the base A.  Pinches follow Britton's lemma: t^-1 u^k t -> v^k and
     t v^k t^-1 -> u^k."""
@@ -182,12 +176,7 @@ class HNNHandle(GroupHandle):
         self.stable = stable
         self.u = base.normal_form(u)
         self.v = base.normal_form(v)
-
-    @property
-    def letters(self):
-        out = dict(self.base.letters)
-        out[self.stable] = 0
-        return out
+        self.letters = {**base.letters, stable: 0}
 
     def _tokens(self, w: Word):
         """Alternating [word-in-A, +-1, word-in-A, ...] token list."""
@@ -247,7 +236,7 @@ class HNNHandle(GroupHandle):
 # triangle groups via the Tits reflection representation
 # ---------------------------------------------------------------------------
 
-class TriangleHandle(GroupHandle):
+class TriangleHandle:
     """Von Dyck group < c1, c2, c3 : c1 c2 c3, c_i^{k_i} > decided through
     exact 3x3 reflection matrices.
 
@@ -261,7 +250,7 @@ class TriangleHandle(GroupHandle):
         if any(k < 2 for k in orders):
             raise ValueError("triangle orders must all be >= 2")
         self.names = names
-        self.orders = orders
+        self.letters = dict(zip(names, orders))
         self.L = lcm(*orders)
         self.field = RealCyclotomicField(self.L)
         f = self.field
@@ -305,10 +294,6 @@ class TriangleHandle(GroupHandle):
         c1, c2, c3 = (self._powers[name][1] for name in names)
         if not (c1 * c2 * c3).is_identity():
             raise InternalError("reflection matrices: c1 c2 c3 != I")
-
-    @property
-    def letters(self):
-        return {n: k for n, k in zip(self.names, self.orders)}
 
     def matrix(self, w: Word) -> Mat3:
         out = Mat3.identity(self.field)
@@ -355,31 +340,18 @@ class WhiteGroupSpec:
     genus: int
     surface_names: tuple[str, ...]
 
-    @property
-    def p(self) -> int:
-        return len(self.boundary_names)
-
-    @property
-    def n(self) -> int:
-        return len(self.surface_names)
-
 
 @dataclass(frozen=True)
 class WhiteHandle:
-    """A GroupHandle together with the map from boundary generators to
-    handle words and the name of the handle's kind."""
+    """A white vertex group (its handle, whose class is its kind) together
+    with the map from boundary generators to handle words."""
 
-    handle: GroupHandle
+    handle: FreeProductOfCyclics | AmalgamHandle | HNNHandle | TriangleHandle
     boundary_images: Mapping[str, Word]
-    kind: str
 
     def __post_init__(self):
         images = MappingProxyType(dict(self.boundary_images))
         object.__setattr__(self, "boundary_images", images)
-
-    def boundary_order(self, name: str) -> int:
-        """Order of a boundary image (``FreeProductOfCyclics`` handles)."""
-        return self.handle.elem_order(self.boundary_images[name])
 
 
 @lru_cache(maxsize=256)
@@ -408,7 +380,7 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
         for i, name in enumerate(spec.boundary_names):
             if spec.boundary_orders[i] == 1:
                 out[name] = EMPTY
-        return WhiteHandle(inner.handle, out, inner.kind)
+        return WhiteHandle(inner.handle, out)
 
     # (1b) an undisked boundary curve is eliminated via the long relation
     if 0 in spec.boundary_orders:
@@ -420,15 +392,15 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
         images[spec.boundary_names[j]] = concat(
             inverse(c_word[:j]), inverse(concat(c_word[j + 1:], q))
         )
-        return WhiteHandle(handle, images, "free_product")
+        return WhiteHandle(handle, images)
 
-    p, n, g = spec.p, spec.n, spec.genus
+    p, n, g = len(spec.boundary_names), len(spec.surface_names), spec.genus
 
     if n >= 1 and p >= 2:
         a = FreeProductOfCyclics(curves)
         b = free_group(spec.surface_names)
         z_b = inverse(q)
-        return WhiteHandle(AmalgamHandle(a, b, c_word, z_b), images, "amalgam")
+        return WhiteHandle(AmalgamHandle(a, b, c_word, z_b), images)
 
     if n >= 1:
         # one boundary curve c, or none: a closed surface is the one-curve
@@ -438,38 +410,38 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
             # c y1^2 = 1: cyclic of order 2k on y1 (k = 1 when closed)
             k = spec.boundary_orders[0] if p else 1
             images.update({name: ((ys[0], -2),) for name in spec.boundary_names})
-            return WhiteHandle(cyclic_group(ys[0], 2 * k), images, "free_product")
+            return WhiteHandle(cyclic_group(ys[0], 2 * k), images)
         base = FreeProductOfCyclics(curves + tuple((y, 0) for y in ys[:-1]))
         if g > 0:
             # relation c [y1,y2]...[y_{2g-1},y_{2g}] = 1 becomes the HNN
             # relation y_{2g}^-1 (P y_{2g-1}) y_{2g} = y_{2g-1}
             u = concat(c_word, genus_word(ys[:-2], g - 1), ((ys[-2], 1),))
             v = ((ys[-2], 1),)
-            return WhiteHandle(HNNHandle(base, ys[-1], u, v), images, "hnn")
+            return WhiteHandle(HNNHandle(base, ys[-1], u, v), images)
         # g <= -2: split off the last surface letter, c y1^2...y_{m-1}^2 = y_m^-2
         z_a = concat(c_word, genus_word(ys[:-1], g + 1))
         z_b = ((ys[-1], -2),)
         handle = AmalgamHandle(base, cyclic_group(ys[-1], 0), z_a, z_b)
-        return WhiteHandle(handle, images, "amalgam")
+        return WhiteHandle(handle, images)
 
     # n == 0, genus 0: polygon cases
     if p == 0:
-        return WhiteHandle(TRIVIAL_HANDLE, images, "trivial")
+        return WhiteHandle(TRIVIAL_HANDLE, images)
     if p == 1:
         images[spec.boundary_names[0]] = EMPTY
-        return WhiteHandle(TRIVIAL_HANDLE, images, "trivial")
+        return WhiteHandle(TRIVIAL_HANDLE, images)
     if p == 2:
         c1, c2 = spec.boundary_names
         k1, k2 = spec.boundary_orders
         d = gcd(k1, k2)
         handle = cyclic_group(c1, d)
         images[c2] = ((c1, -1),)
-        return WhiteHandle(handle, images, "free_product")
+        return WhiteHandle(handle, images)
     if p == 3:
         handle = TriangleHandle(spec.boundary_names, spec.boundary_orders)
-        return WhiteHandle(handle, images, "triangle")
+        return WhiteHandle(handle, images)
     # p >= 4: split {c1, c2} | {c3..cp} over z = (c1 c2)^-1 = c3...cp
     a = FreeProductOfCyclics(curves[:2])
     b = FreeProductOfCyclics(curves[2:])
     handle = AmalgamHandle(a, b, inverse(c_word[:2]), c_word[2:])
-    return WhiteHandle(handle, images, "amalgam")
+    return WhiteHandle(handle, images)

@@ -71,7 +71,7 @@ def boundary_mismatches(
             continue
         for e in g.edges_at_white(w):
             required = edge_group_order(sigma[e.black], e.label)
-            computed = wh.boundary_order(f"c.{e.name}")
+            computed = wh.handle.elem_order(wh.boundary_images[f"c.{e.name}"])
             if computed != required:
                 yield e, computed, required
 
@@ -110,15 +110,17 @@ class GraphOfGroups:
         self.tree = tree
         self.sigma = MappingProxyType(dict(sigma))
         self.basepoint = tree.basepoint
-        self.black_handles = MappingProxyType({
-            b: FreeProductOfCyclics(((f"b.{b}", self.sigma[b]),))
-            for b in graph.black_names()
-        })
         self.white_handles = MappingProxyType({
             w: build_white_handle(graph, w, self.sigma)
             for w in graph.white_names()
         })
-        self._whites = set(graph.white_names())
+        # one vertex group per vertex: the white handles and, on each black
+        # b, the cyclic group on b.<b> of order sigma[b]
+        self._handles = {w: wh.handle for w, wh in self.white_handles.items()}
+        self._handles.update(
+            (b, FreeProductOfCyclics(((f"b.{b}", self.sigma[b]),)))
+            for b in graph.black_names()
+        )
         bad = next(boundary_mismatches(graph, self.white_handles, self.sigma), None)
         if bad is not None:
             e, computed, required = bad
@@ -129,13 +131,8 @@ class GraphOfGroups:
 
     # -- vertex/edge helpers -----------------------------------------------
 
-    def is_white(self, v: str) -> bool:
-        return v in self._whites
-
     def vertex_handle(self, v: str):
-        if self.is_white(v):
-            return self.white_handles[v].handle
-        return self.black_handles[v]
+        return self._handles[v]
 
     def white_image(self, edge_name: str) -> Word:
         """Image of the edge generator in the white handle's letters."""
@@ -164,7 +161,7 @@ class GraphOfGroups:
             return solve_congruence(e.label, x, self.sigma[e.black])
         if end != "white":
             raise ValueError(f"end must be 'black' or 'white', got {end!r}")
-        handle = self.white_handles[e.white].handle
+        handle = self._handles[e.white]
         return handle.cyclic_membership(r, self.white_image(edge_name))
 
     def transport(self, edge_name: str, to_end: str, s: int) -> Word:

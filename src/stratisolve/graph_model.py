@@ -108,6 +108,9 @@ def _validate(g: StratifoldGraph) -> None:
     for names, sort in ((wnames + bnames, "vertex"), (enames, "edge")):
         seen = set()
         for n in names:
+            # '^' and '*' split words: no generator could spell the name
+            if "^" in n or "*" in n:
+                raise GraphSyntaxError(f"{sort} name {n!r} contains '^' or '*'")
             if n in seen:
                 raise DuplicateNameError(f"duplicate {sort} name {n!r}")
             seen.add(n)

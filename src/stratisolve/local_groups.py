@@ -1,45 +1,34 @@
-"""Normal forms and decision procedures in free products of cyclic groups.
+"""Vertex-group handles, and normal forms in free products of cyclic groups.
 
-``FreeProductOfCyclics`` covers finite cyclic groups, the infinite cyclic
-group, free groups (all letter orders 0) and arbitrary mixtures; it is the
-workhorse vertex-group implementation and the factor type used inside
-amalgam and HNN handles.
+A handle is a vertex group of the graph of groups.  Its class is its kind;
+every handle class (this module's ``FreeProductOfCyclics`` and the
+amalgam, HNN and triangle handles of :mod:`fgroup_handles`) provides what
+the graph-of-groups splice needs:
 
-Every handle implements the contract the graph-of-groups splice needs:
-
+  letters                          letter name -> order (0 = infinite)
   wp(word) -> bool                 word problem
   cyclic_membership(g, t) -> k     g = t^k, or None, for a target t in one
                                    factor (every edge-group image is one)
 
-``FreeProductOfCyclics`` decides membership for any target and computes
-element orders, which the handle constructors and the boundary-order check
-of ``gog.boundary_mismatches`` need.
-
 Witness exponents are returned (not just booleans) because splicing in the
 graph-of-groups solver must transport edge-group elements to the other end.
+
+``FreeProductOfCyclics`` covers finite cyclic groups, the infinite cyclic
+group, free groups (all letter orders 0) and arbitrary mixtures; it is the
+black-vertex group, a white handle of its own and the factor type inside
+amalgam and HNN handles.  It alone decides membership for any target and
+computes element orders, which the handle constructors and the
+boundary-order check of ``gog.boundary_mismatches`` need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 from .errors import UnknownLetterError
 from .words import Word, concat, inverse, power
-
-
-class GroupHandle:
-    """Duck-typed base; subclasses decide words over their own letters."""
-
-    #: letter name -> order (0 = infinite); None means "not letter-based"
-    letters: dict[str, int]
-
-    def wp(self, w: Word) -> bool:
-        raise NotImplementedError
-
-    def cyclic_membership(self, g: Word, t: Word):
-        """Return k with g = t^k, or None, for a t in one factor."""
-        raise NotImplementedError
 
 
 def solve_congruence(a: int, b: int, n: int):
@@ -63,20 +52,20 @@ def solve_congruence(a: int, b: int, n: int):
 
 
 @dataclass(frozen=True)
-class FreeProductOfCyclics(GroupHandle):
+class FreeProductOfCyclics:
     """Free product of cyclic groups Z/n1 * Z/n2 * ... (ni = 0 gives Z)."""
 
     letter_list: tuple[tuple[str, int], ...]
 
-    @property
+    @cached_property
     def letters(self) -> dict[str, int]:
         return dict(self.letter_list)
 
     def order_of_letter(self, name: str) -> int:
-        for n, o in self.letter_list:
-            if n == name:
-                return o
-        raise UnknownLetterError(f"unknown letter {name!r}")
+        n = self.letters.get(name)
+        if n is None:
+            raise UnknownLetterError(f"unknown letter {name!r}")
+        return n
 
     # -- normal form ---------------------------------------------------------
 
@@ -89,11 +78,12 @@ class FreeProductOfCyclics(GroupHandle):
         nonzero and reduced mod the letter order."""
         out: list[tuple[str, int]] = []
         for name, exp in w:
-            self.order_of_letter(name)
+            n = self.order_of_letter(name)
             if out and out[-1][0] == name:
                 exp += out.pop()[1]
-            exp = self._reduce_exp(name, exp)
-            if exp != 0:
+            if n:
+                exp %= n
+            if exp:
                 out.append((name, exp))
         return tuple(out)
 

@@ -60,7 +60,6 @@ class OrderAssignment:
     """Read-only: one assignment is shared by every caller of the memo."""
 
     sigma: Mapping[str, int]
-    status: str  # 'exact' | 'undetermined'
     unresolved: tuple[str, ...]
     certificates: Mapping[str, Derivation]
     #: order of each b in the abelianized group (0 = infinite); a cheap
@@ -73,8 +72,12 @@ class OrderAssignment:
                 self, name, MappingProxyType(dict(getattr(self, name)))
             )
 
+    @property
+    def status(self) -> str:
+        return "undetermined" if self.unresolved else "exact"
+
     def require_exact(self) -> None:
-        if self.status != "exact":
+        if self.unresolved:
             raise UndeterminedError(self.unresolved)
 
 
@@ -179,10 +182,8 @@ def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
     if not unresolved:
         # violations persist without certificates: not exact
         unresolved.update(b for b, _ in violations)
-    status = "exact" if not unresolved else "undetermined"
     return OrderAssignment(
         sigma=certs.sigma(),
-        status=status,
         unresolved=tuple(sorted(unresolved)),
         certificates={b: d for b, (_, d) in certs.best.items()},
         ab_evidence=certs.h1,

@@ -188,6 +188,11 @@ def test_exit_codes(fx, tmp_path, capsys):
     assert run(["validate", str(mangled)]) == 2  # parse error
     capsys.readouterr()
 
+    caret = tmp_path / "caret"
+    caret.write_text("white w1 genus 0\nblack x^2\nedge e1 w1 x^2 3\n")
+    assert run(["validate", str(caret)]) == 2  # a name no word can spell
+    assert "parse error" in capsys.readouterr().err
+
     assert run(["solve", fx("FX-Z3"), "b.b1^^"]) == 2  # word syntax
     capsys.readouterr()
 

@@ -10,7 +10,12 @@ from stratisolve.fgroup_handles import (
     WhiteGroupSpec,
     white_handle,
 )
-from stratisolve.local_groups import FreeProductOfCyclics, cyclic_group, free_group
+from stratisolve.local_groups import (
+    TRIVIAL_HANDLE,
+    FreeProductOfCyclics,
+    cyclic_group,
+    free_group,
+)
 from stratisolve.oracle import cayley_wp, todd_coxeter
 from stratisolve.pipeline import compile
 from stratisolve.words import concat, genus_word, inverse, power
@@ -298,13 +303,12 @@ def test_order_one_boundaries_vanish():
 def test_infinite_boundary_eliminated():
     # genus -2, so the long relation is c1 c2 y1^2 y2^2 = 1
     wh = white_handle(spec([2, 0], -2, 2))
-    assert wh.kind == "free_product"
     assert isinstance(wh.handle, FreeProductOfCyclics)
     # eliminated generator expressed in the remaining free product
     img = wh.boundary_images["c2"]
     assert img and all(name != "c2" for name, _ in img)
-    assert wh.boundary_order("c1") == 2
-    assert wh.boundary_order("c2") == 0
+    assert wh.handle.elem_order(wh.boundary_images["c1"]) == 2
+    assert wh.handle.elem_order(wh.boundary_images["c2"]) == 0
     # the long relation holds under the substitution
     rel = concat(
         wh.boundary_images["c1"], wh.boundary_images["c2"], (("y1", 2), ("y2", 2))
@@ -313,22 +317,21 @@ def test_infinite_boundary_eliminated():
 
 
 def test_disk_and_sphere_trivial():
-    assert white_handle(spec([], 0, 0)).kind == "trivial"
+    assert white_handle(spec([], 0, 0)).handle is TRIVIAL_HANDLE
     wh = white_handle(spec([5], 0, 0))
-    assert wh.kind == "trivial"
+    assert wh.handle is TRIVIAL_HANDLE
     assert wh.handle.wp(wh.boundary_images["c1"])
 
 
 def test_two_boundary_gcd():
     wh = white_handle(spec([4, 6], 0, 0))
-    assert wh.kind == "free_product"
-    assert wh.boundary_order("c1") == 2
+    assert isinstance(wh.handle, FreeProductOfCyclics)
+    assert wh.handle.elem_order(wh.boundary_images["c1"]) == 2
     assert wh.handle.wp(concat(wh.boundary_images["c1"], wh.boundary_images["c2"]))
 
 
 def test_three_boundary_triangle():
     wh = white_handle(spec([2, 3, 5], 0, 0))
-    assert wh.kind == "triangle"
     h = wh.handle
     assert isinstance(h, TriangleHandle)
     assert h.wp(concat(*(wh.boundary_images[f"c{i}"] for i in (1, 2, 3))))
@@ -336,7 +339,7 @@ def test_three_boundary_triangle():
 
 def test_polygon_amalgam():
     wh = white_handle(spec([2, 2, 2, 2], 0, 0))
-    assert wh.kind == "amalgam"
+    assert isinstance(wh.handle, AmalgamHandle)
     h = wh.handle
     long_rel = concat(*(wh.boundary_images[f"c{i}"] for i in (1, 2, 3, 4)))
     assert h.wp(long_rel)
@@ -346,7 +349,7 @@ def test_polygon_amalgam():
 
 def test_positive_genus_with_boundary_hnn():
     wh = white_handle(spec([3], 1, 2))
-    assert wh.kind == "hnn"
+    assert isinstance(wh.handle, HNNHandle)
     h = wh.handle
     # relation c [y1, y2] = 1 holds
     rel = concat(wh.boundary_images["c1"], comm((("y1", 1),), (("y2", 1),)))
@@ -357,15 +360,15 @@ def test_positive_genus_with_boundary_hnn():
 def test_projective_with_boundary_cyclic():
     # c y^2 = 1 with c of order k gives Z/2k
     wh = white_handle(spec([3], -1, 1))
-    assert wh.kind == "free_product"
+    assert isinstance(wh.handle, FreeProductOfCyclics)
     assert wh.handle.elem_order((("y1", 1),)) == 6
-    assert wh.boundary_order("c1") == 3
+    assert wh.handle.elem_order(wh.boundary_images["c1"]) == 3
     assert wh.handle.wp(concat(wh.boundary_images["c1"], (("y1", 2),)))
 
 
 def test_nonorientable_genus2_with_boundary():
     wh = white_handle(spec([2], -2, 2))
-    assert wh.kind == "amalgam"
+    assert isinstance(wh.handle, AmalgamHandle)
     rel = concat(wh.boundary_images["c1"], (("y1", 2), ("y2", 2)))
     assert wh.handle.wp(rel)
     assert _order_by_wp(wh.handle, wh.boundary_images["c1"]) == 2
@@ -373,7 +376,7 @@ def test_nonorientable_genus2_with_boundary():
 
 def test_closed_surfaces():
     torus = white_handle(spec([], 1, 2))
-    assert torus.kind == "hnn"
+    assert isinstance(torus.handle, HNNHandle)
     assert torus.handle.wp(comm((("y1", 1),), (("y2", 1),)))
 
     rp2 = white_handle(spec([], -1, 1))
@@ -384,7 +387,7 @@ def test_closed_surfaces():
     rel = concat(
         comm((("y1", 1),), (("y2", 1),)), comm((("y3", 1),), (("y4", 1),))
     )
-    assert genus2.kind == "hnn"
+    assert isinstance(genus2.handle, HNNHandle)
     assert genus2.handle.wp(rel)
     assert not genus2.handle.wp(comm((("y1", 1),), (("y3", 1),)))
 
@@ -447,7 +450,7 @@ def test_surface_with_at_most_one_curve(genus, curve):
 
 def test_multi_boundary_positive_genus_amalgam():
     wh = white_handle(spec([2, 3], 1, 2))
-    assert wh.kind == "amalgam"
+    assert isinstance(wh.handle, AmalgamHandle)
     rel = concat(
         wh.boundary_images["c1"],
         wh.boundary_images["c2"],

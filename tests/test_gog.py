@@ -15,6 +15,7 @@ from stratisolve.gog import (
     to_loop_word,
 )
 from stratisolve.graph_model import canonical_tree, parse_graph
+from stratisolve.local_groups import TRIVIAL_HANDLE
 from stratisolve.presentation import natural_presentation, parse_word
 
 Z3 = "white w1 genus 0\nblack b1\nedge e1 w1 b1 3\n"
@@ -38,13 +39,14 @@ def test_build_white_handle_uses_sigma():
     g = parse_graph(Z3)
     wh = build_white_handle(g, "w1", {"b1": 3})
     # disk: single boundary of order 1 is killed, trivial handle
-    assert wh.kind == "trivial"
+    assert wh.handle is TRIVIAL_HANDLE
     assert wh.boundary_images["c.e1"] == ()
 
 
 def test_gog_vertex_handles():
     gog = gog_for(Z3, {"b1": 3})
-    assert gog.is_white("w1") and not gog.is_white("b1")
+    assert gog.vertex_handle("w1") is gog.white_handles["w1"].handle
+    assert "b1" not in gog.white_handles
     assert gog.vertex_handle("b1").elem_order((("b.b1", 1),)) == 3
     assert gog.basepoint == "w1"
 

@@ -67,6 +67,9 @@ def test_syntax_error_carries_line():
         ("white w genus 0\nblack b\nedge e w b 2\n", BlackDegreeError),
         ("white w genus 0\nwhite v genus 0\nblack b\nedge e w b 3\n",
          DisconnectedError),
+        # '^' and '*' split words, so no word could spell these generators
+        ("white w1 genus 0\nblack x^2\nedge e1 w1 x^2 3\n", GraphSyntaxError),
+        ("white w*1 genus 1\nblack b1\nedge e1 w*1 b1 3\n", GraphSyntaxError),
     ],
 )
 def test_invalid_graphs_rejected(text, error):

@@ -108,7 +108,7 @@ def test_fixpoint_and_graph_of_groups_share_white_handles(fixtures, monkeypatch)
     monkeypatch.setattr(TriangleHandle, "__init__", counting)
     c = compile(fixtures["FX-TRI(2,3,7)"])
     assert c.orders.status == "exact"
-    assert c.gog.white_handles["w0"].kind == "triangle"
+    assert isinstance(c.gog.white_handles["w0"].handle, TriangleHandle)
     assert builds == [(2, 3, 7)]
 
 

@@ -78,6 +78,17 @@ def test_parse_and_format_roundtrip():
         assert parse_word(format_word(w), p) == w
 
 
+def test_present_output_parses_back(fixtures):
+    """What ``present`` prints is in the word grammar: each relator parses
+    back to itself, and each generator to the one-letter word."""
+    for g in fixtures.values():
+        p = compile(g).pres
+        for r in p.relators:
+            assert parse_word(format_word(r), p) == r
+        for x in p.generators:
+            assert parse_word(x, p) == ((x, 1),)
+
+
 def test_parse_word_errors():
     p = pres_of(BS)
     with pytest.raises(WordSyntaxError):
