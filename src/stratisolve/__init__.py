@@ -9,8 +9,6 @@ corollary decisions (abelianness, simple connectivity, element orders,
 wedge-of-spheres recognition) and independent brute-force oracles.
 """
 
-from importlib import resources
-
 from .decisions import (
     PruneReport,
     PruneStep,
@@ -63,6 +61,8 @@ FIXTURE_NAMES = (
 
 def fixture_path(name: str):
     """Filesystem path of a bundled example graph (see FIXTURE_NAMES)."""
+    from importlib import resources  # imported here: it slows every cold start
+
     path = resources.files(__name__) / "fixtures" / name
     if not path.is_file():
         raise FileNotFoundError(f"no bundled fixture named {name!r}")

@@ -87,6 +87,14 @@ def _load_graph(path: str):
     return parse_graph(text)
 
 
+def _budget(text: str) -> Budget:
+    """``--budget``: a ValueError's reason reaches the usage error."""
+    try:
+        return Budget.parse(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _emit(report: dict, as_json: bool) -> None:
     if as_json:
         print(json.dumps(report, sort_keys=True, separators=(",", ":")))
@@ -314,7 +322,7 @@ def _build_parser() -> _Parser:
     )
     parser.add_argument(
         "--budget",
-        type=Budget.parse,
+        type=_budget,
         metavar="INSERTIONS,MAXLEN",
         help="derivation search budget (default 6,64)",
     )

@@ -11,7 +11,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InternalError, NotApplicableError, NotZeroTerminalError
 from .graph_model import StratifoldGraph
@@ -53,16 +53,14 @@ def zero_terminal_order(g: StratifoldGraph, black: str, budget=None) -> int:
     return orders.sigma[black]
 
 
-@dataclass(frozen=True)
-class PruneStep:
+class PruneStep(NamedTuple):
     black: str
     white: str
     order: int
     action: str  # 'delete' | 'stop'
 
 
-@dataclass(frozen=True)
-class PruneReport:
+class PruneReport(NamedTuple):
     steps: tuple[PruneStep, ...]
     final_components: tuple[StratifoldGraph, ...]
     success: bool

@@ -33,11 +33,10 @@ factor decides.  Other targets raise ``NotImplementedError``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InternalError, UnknownLetterError
 from .exactfield import Mat3, RealCyclotomicField
@@ -330,8 +329,7 @@ class TriangleHandle:
 # classification of white vertex groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WhiteGroupSpec:
+class WhiteGroupSpec(NamedTuple):
     """Boundary count p, per-boundary required orders (0 = infinite),
     genus, plus the generator names to use."""
 
@@ -341,17 +339,22 @@ class WhiteGroupSpec:
     surface_names: tuple[str, ...]
 
 
-@dataclass(frozen=True)
 class WhiteHandle:
     """A white vertex group (its handle, whose class is its kind) together
-    with the map from boundary generators to handle words."""
+    with the read-only map from boundary generators to handle words."""
 
-    handle: FreeProductOfCyclics | AmalgamHandle | HNNHandle | TriangleHandle
-    boundary_images: Mapping[str, Word]
+    def __init__(
+        self, handle: FreeProductOfCyclics | AmalgamHandle | HNNHandle | TriangleHandle,
+        boundary_images: Mapping[str, Word],
+    ):
+        images = MappingProxyType(dict(boundary_images))
+        self.__dict__.update(handle=handle, boundary_images=images)
 
-    def __post_init__(self):
-        images = MappingProxyType(dict(self.boundary_images))
-        object.__setattr__(self, "boundary_images", images)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"WhiteHandle is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        return isinstance(other, WhiteHandle) and vars(self) == vars(other)
 
 
 @lru_cache(maxsize=256)

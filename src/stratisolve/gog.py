@@ -17,10 +17,9 @@ reduction in :mod:`serre_solver` stays literal and auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from types import MappingProxyType
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InjectivityError, InternalError, UnknownGeneratorError
 from .fgroup_handles import WhiteGroupSpec, WhiteHandle, white_handle
@@ -76,8 +75,7 @@ def boundary_mismatches(
                 yield e, computed, required
 
 
-@dataclass(frozen=True)
-class DirectedEdge:
+class DirectedEdge(NamedTuple):
     """An edge traversal; ``to_black`` True means white -> black."""
 
     edge: str
@@ -87,8 +85,7 @@ class DirectedEdge:
         return DirectedEdge(self.edge, not self.to_black)
 
 
-@dataclass(frozen=True)
-class LoopWord:
+class LoopWord(NamedTuple):
     """Based loop r0 e1 r1 ... en rn; vertex_words[i] lives in the handle of
     vertices[i]; vertices[0] = vertices[-1] = basepoint."""
 

@@ -10,8 +10,8 @@ along that circle and must be at least 3.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import (
     BlackDegreeError,
@@ -24,33 +24,39 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class WhiteVertex:
+class WhiteVertex(NamedTuple):
     name: str
     genus: int
 
 
-@dataclass(frozen=True)
-class BlackVertex:
+class BlackVertex(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     name: str
     white: str
     black: str
     label: int
 
 
-@dataclass(frozen=True)
 class StratifoldGraph:
-    whites: tuple[WhiteVertex, ...]
-    blacks: tuple[BlackVertex, ...]
-    edges: tuple[Edge, ...]
+    """A validated graph: immutable, equal and hashed by its three tuples."""
 
-    def __post_init__(self):
+    def __init__(self, whites: tuple[WhiteVertex, ...],
+                 blacks: tuple[BlackVertex, ...], edges: tuple[Edge, ...]):
+        self.__dict__.update(whites=whites, blacks=blacks, edges=edges)
         _validate(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StratifoldGraph is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        return isinstance(other, StratifoldGraph) and (
+            self.whites, self.blacks, self.edges) == (other.whites, other.blacks, other.edges)
+
+    def __hash__(self):
+        return hash((self.whites, self.blacks, self.edges))
 
     # -- lookups ------------------------------------------------------------
 
@@ -205,12 +211,15 @@ def serialize_graph(g: StratifoldGraph) -> str:
 
 # -- spanning tree and orientation normalization ------------------------------
 
-@dataclass(frozen=True)
-class MaximalTree:
+class MaximalTree(NamedTuple):
     basepoint: str
     tree_edges: frozenset[str]
     # vertex -> (parent vertex, edge name); basepoint absent
-    parent: dict[str, tuple[str, str]] = field(hash=False)
+    parent: dict[str, tuple[str, str]]
+
+    def __hash__(self):
+        # the parent dict is unhashable and follows from the other two
+        return hash((self.basepoint, self.tree_edges))
 
     def path_from_basepoint(self, v: str) -> tuple[str, ...]:
         """Edge names along the tree path basepoint -> v."""

@@ -23,8 +23,6 @@ boundary-order check of ``gog.boundary_mismatches`` need.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 
 from .errors import UnknownLetterError
@@ -51,15 +49,21 @@ def solve_congruence(a: int, b: int, n: int):
     return (b * pow(a, -1, n)) % n
 
 
-@dataclass(frozen=True)
 class FreeProductOfCyclics:
-    """Free product of cyclic groups Z/n1 * Z/n2 * ... (ni = 0 gives Z)."""
+    """Free product of cyclic groups Z/n1 * Z/n2 * ... (ni = 0 gives Z);
+    immutable, equal and hashed by its ``letter_list``."""
 
-    letter_list: tuple[tuple[str, int], ...]
+    def __init__(self, letter_list: tuple[tuple[str, int], ...]):
+        self.__dict__.update(letter_list=letter_list, letters=dict(letter_list))
 
-    @cached_property
-    def letters(self) -> dict[str, int]:
-        return dict(self.letter_list)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"FreeProductOfCyclics is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        return isinstance(other, FreeProductOfCyclics) and self.letter_list == other.letter_list
+
+    def __hash__(self):
+        return hash(self.letter_list)
 
     def order_of_letter(self, name: str) -> int:
         n = self.letters.get(name)
@@ -68,10 +72,6 @@ class FreeProductOfCyclics:
         return n
 
     # -- normal form ---------------------------------------------------------
-
-    def _reduce_exp(self, name: str, exp: int) -> int:
-        n = self.order_of_letter(name)
-        return exp % n if n > 0 else exp
 
     def normal_form(self, w: Word) -> Word:
         """Unique reduced syllable form: alternating letters, exponents
@@ -97,15 +97,11 @@ class FreeProductOfCyclics:
         r = self.normal_form(w)
         u: list[tuple[str, int]] = []
         while len(r) >= 2 and r[0][0] == r[-1][0]:
-            name = r[0][0]
-            merged = self._reduce_exp(name, r[-1][1] + r[0][1])
-            # peel the first syllable s: w = s (m s_last s) s^-1
+            # peel the first syllable s: w = s (m s_last s) s^-1; normal_form
+            # reduces the merged exponent, and drops it when it is zero
+            (name, first), last = r[0], r[-1][1]
             u.append(r[0])
-            middle = r[1:-1]
-            if merged:
-                r = self.normal_form(middle + ((name, merged),))
-            else:
-                r = self.normal_form(middle)
+            r = self.normal_form(r[1:-1] + ((name, last + first),))
         return tuple(u), r
 
     def elem_order(self, w: Word) -> int:

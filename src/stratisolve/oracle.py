@@ -18,9 +18,9 @@ cross-check it:
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import count
 from math import gcd
+from typing import NamedTuple
 
 from .errors import IncompleteTableError
 from .presentation import Abelianization, Presentation
@@ -36,8 +36,7 @@ from .words import (
 )
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     """Search budget for consequence derivations."""
 
     insertions: int = 6
@@ -46,7 +45,15 @@ class Budget:
 
     @classmethod
     def parse(cls, text: str) -> "Budget":
-        ins, maxlen = (int(x) for x in text.split(","))
+        """``INSERTIONS,MAXLEN``; ValueError names what is wrong."""
+        fields = text.split(",")
+        if len(fields) != 2:
+            raise ValueError(
+                f"budget needs two fields INSERTIONS,MAXLEN, not {text!r}")
+        try:
+            ins, maxlen = map(int, fields)
+        except ValueError:
+            raise ValueError(f"budget fields must be integers, not {text!r}") from None
         if ins < 1 or maxlen < 1:
             raise ValueError(f"budget fields must be at least 1, not {text!r}")
         return cls(ins, maxlen)
@@ -57,8 +64,7 @@ DEFAULT_BUDGET = Budget()
 
 # -- derivations ----------------------------------------------------------
 
-@dataclass(frozen=True)
-class DerivStep:
+class DerivStep(NamedTuple):
     """Right-multiplication by conjugator^-1 * relator^sign * conjugator.
 
     Inserting relator^sign into w = a.b between a and b equals
@@ -70,8 +76,7 @@ class DerivStep:
     sign: int
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """Replayable certificate that ``word`` is a consequence of the
     relators: applying the steps in order rewrites it to the empty word."""
 
@@ -248,8 +253,7 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 # -- coset enumeration ------------------------------------------------------
 
-@dataclass
-class CosetTable:
+class CosetTable(NamedTuple):
     generators: tuple[str, ...]
     status: str  # 'complete' | 'exhausted'
     order: int | None
@@ -402,8 +406,7 @@ def cayley_wp(t: CosetTable, w: Word) -> bool:
 
 # -- finite quotients --------------------------------------------------------
 
-@dataclass(frozen=True)
-class QuotientHom:
+class QuotientHom(NamedTuple):
     """Homomorphism onto a transitive permutation group of degree n,
     given by one permutation (tuple of images of 0..n-1) per generator."""
 

@@ -43,7 +43,6 @@ No other rule is needed to find the orders:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from types import MappingProxyType
 from typing import Mapping
@@ -55,22 +54,25 @@ from .oracle import Budget, Derivation, derivation_gcd, derive_if_h1_trivial
 from .presentation import Presentation, abelianization
 
 
-@dataclass(frozen=True)
 class OrderAssignment:
-    """Read-only: one assignment is shared by every caller of the memo."""
+    """Read-only: one assignment is shared by every caller of the memo.
+    ``ab_evidence`` holds the order of each b in H1 (0 = infinite), a cheap
+    divisor of the true order computed before any search to screen it."""
 
-    sigma: Mapping[str, int]
-    unresolved: tuple[str, ...]
-    certificates: Mapping[str, Derivation]
-    #: order of each b in the abelianized group (0 = infinite); a cheap
-    #: divisor of the true order, computed before any search to screen it
-    ab_evidence: Mapping[str, int]
+    def __init__(self, sigma: Mapping[str, int], unresolved: tuple[str, ...],
+                 certificates: Mapping[str, Derivation],
+                 ab_evidence: Mapping[str, int]):
+        self.__dict__.update(
+            sigma=MappingProxyType(dict(sigma)), unresolved=unresolved,
+            certificates=MappingProxyType(dict(certificates)),
+            ab_evidence=MappingProxyType(dict(ab_evidence)),
+        )
 
-    def __post_init__(self):
-        for name in ("sigma", "certificates", "ab_evidence"):
-            object.__setattr__(
-                self, name, MappingProxyType(dict(getattr(self, name)))
-            )
+    def __setattr__(self, name, value):
+        raise AttributeError(f"OrderAssignment is immutable: cannot set {name!r}")
+
+    def __eq__(self, other):
+        return isinstance(other, OrderAssignment) and vars(self) == vars(other)
 
     @property
     def status(self) -> str:

@@ -22,8 +22,8 @@ question, the order of a word's image (``Abelianization.order``), which
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from math import gcd, lcm
+from typing import NamedTuple
 
 from .errors import TreeEdgeStableError, UnknownGeneratorError, WordSyntaxError
 from .graph_model import MaximalTree, StratifoldGraph
@@ -43,8 +43,7 @@ def surface_names(white: str, genus: int) -> tuple[str, ...]:
     return tuple(f"y.{white}.{i + 1}" for i in range(surface_gen_count(genus)))
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(NamedTuple):
     generators: tuple[str, ...]
     relators: tuple[Word, ...]
     graph: StratifoldGraph
@@ -132,8 +131,7 @@ def format_word(w: Word) -> str:
 
 # -- abelianization -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Abelianization:
+class Abelianization(NamedTuple):
     """H1 as D = U A V: a word with exponent-sum vector x has coordinates
     u = x V, u_j in Z/d_j (in Z where d_j = 0 or j is past the diagonal)."""
 

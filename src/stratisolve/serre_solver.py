@@ -20,7 +20,7 @@ trace replays through :func:`replay_trace`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .gog import DirectedEdge, GraphOfGroups, LoopWord, to_loop_word
 from .graph_model import StratifoldGraph
@@ -29,8 +29,7 @@ from .presentation import parse_word
 from .words import Word, concat, inverse
 
 
-@dataclass(frozen=True)
-class SpliceStep:
+class SpliceStep(NamedTuple):
     """One reduction step: the backtracking pair at edge positions
     (index, index+1) was removed using the recorded witness exponent."""
 
@@ -40,8 +39,7 @@ class SpliceStep:
     witness: int
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     trivial: bool
     reduced_length: int
     trace: tuple[SpliceStep, ...]

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stratisolve
 from stratisolve import fixture_path, oracle
 from stratisolve.cli import run
 
@@ -165,8 +170,18 @@ def test_oracle_rejects_a_nonpositive_argument(fx, capsys, subop, arg):
     )
 
 
+_BUDGET_REASONS = {
+    "0,0": "budget fields must be at least 1",
+    "-1,5": "budget fields must be at least 1",
+    "4,0": "budget fields must be at least 1",
+    "1,2,3": "budget needs two fields INSERTIONS,MAXLEN",
+    "a,b": "budget fields must be integers",
+}
+
+
 @pytest.mark.parametrize(
-    "budget", [["--budget", "0,0"], ["--budget=-1,5"], ["--budget", "4,0"]]
+    "budget", [["--budget", "0,0"], ["--budget=-1,5"], ["--budget", "4,0"],
+               ["--budget", "1,2,3"], ["--budget", "a,b"]]
 )
 def test_budget_below_one_is_a_usage_error(fx, capsys, budget):
     with pytest.raises(SystemExit) as exc:
@@ -174,7 +189,24 @@ def test_budget_below_one_is_a_usage_error(fx, capsys, budget):
     assert exc.value.code == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "error:" in captured.err
+    text = budget[-1].removeprefix("--budget=")
+    assert (
+        f"error: argument --budget: {_BUDGET_REASONS[text]}, not {text!r}\n"
+        in captured.err
+    )
+
+
+def test_cold_import_loads_no_slow_modules():
+    """A CLI process imports none of the modules that slowed every cold
+    start.  ``-S`` keeps out site ``.pth`` files, which differ between
+    machines and may import them on their own."""
+    slow = ("dataclasses", "inspect", "ast", "importlib.resources")
+    probe = (f"import stratisolve.cli, sys; "
+             f"print(*[m for m in {slow!r} if m in sys.modules])")
+    env = dict(os.environ, PYTHONPATH=str(Path(stratisolve.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == []
 
 
 def test_exit_codes(fx, tmp_path, capsys):

@@ -90,12 +90,10 @@ def test_replay_rejects_tampered_trace():
     gog, pres = setup(BS, {"b1": 0})
     lw, v = run(gog, pres, "t.e2^-1 * c.e2 * t.e2 * b.b1^-2")
     assert v.trivial and replay_trace(gog, lw, v)
-    from dataclasses import replace
-
-    bad = replace(v, trace=(replace(v.trace[0], witness=v.trace[0].witness + 1),)
-                  + v.trace[1:])
+    bad = v._replace(trace=(v.trace[0]._replace(witness=v.trace[0].witness + 1),)
+                     + v.trace[1:])
     assert not replay_trace(gog, lw, bad)
-    bad2 = replace(v, reduced_length=v.reduced_length + 2)
+    bad2 = v._replace(reduced_length=v.reduced_length + 2)
     assert not replay_trace(gog, lw, bad2)
 
 
