@@ -136,7 +136,7 @@ def prune(g: StratifoldGraph, budget=None) -> PruneReport:
             continue
         # a tree whose terminals are all white has a 0-terminal pair
         pair = None
-        for w in sorted(comp.white_names()):
+        for w in comp.white_names():
             edges = comp.edges_at_white(w)
             if len(edges) == 1:
                 pair = (edges[0].black, w)

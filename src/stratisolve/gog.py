@@ -40,7 +40,7 @@ def build_white_handle(
     g: StratifoldGraph, w: str, sigma: dict[str, int]
 ) -> WhiteHandle:
     """Classify the white vertex group under the order assignment sigma."""
-    edges = sorted(g.edges_at_white(w), key=lambda e: e.name)
+    edges = g.edges_at_white(w)
     spec = WhiteGroupSpec(
         boundary_names=tuple(f"c.{e.name}" for e in edges),
         boundary_orders=tuple(

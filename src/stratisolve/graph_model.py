@@ -41,11 +41,14 @@ class Edge(NamedTuple):
 
 
 class StratifoldGraph:
-    """A validated graph: immutable, equal and hashed by its three tuples."""
+    """A validated graph: immutable, equal and hashed by its three tuples,
+    each kept in name order, so every walk over them is in name order and
+    the order they were given in does not matter."""
 
     def __init__(self, whites: tuple[WhiteVertex, ...],
                  blacks: tuple[BlackVertex, ...], edges: tuple[Edge, ...]):
-        self.__dict__.update(whites=whites, blacks=blacks, edges=edges)
+        self.__dict__.update(whites=tuple(sorted(whites)),
+                             blacks=tuple(sorted(blacks)), edges=tuple(sorted(edges)))
         _validate(self)
 
     def __setattr__(self, name, value):
@@ -132,28 +135,9 @@ def _validate(g: StratifoldGraph) -> None:
             raise BlackDegreeError(
                 f"black vertex {b.name!r} has sheet count {total} < 3"
             )
-    if not _connected(g):
+    # a black has at least 3 sheets, so there is a white for the basepoint
+    if len(canonical_tree(g).parent) != len(g.whites) + len(g.blacks) - 1:
         raise DisconnectedError("graph is not connected")
-
-
-def _connected(g: StratifoldGraph) -> bool:
-    vertices = set(g.white_names()) | set(g.black_names())
-    if not vertices:
-        return True
-    adj: dict[str, set[str]] = {v: set() for v in vertices}
-    for e in g.edges:
-        adj[e.white].add(e.black)
-        adj[e.black].add(e.white)
-    start = next(iter(sorted(vertices)))
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen == vertices
 
 
 # -- parsing ------------------------------------------------------------------
@@ -193,19 +177,13 @@ def parse_graph(text: str) -> StratifoldGraph:
                 raise GraphSyntaxError(f"unknown directive {kind!r}", lineno)
         except ValueError:
             raise GraphSyntaxError("malformed integer", lineno) from None
-    whites.sort(key=lambda w: w.name)
-    blacks.sort(key=lambda b: b.name)
-    edges.sort(key=lambda e: e.name)
     return StratifoldGraph(tuple(whites), tuple(blacks), tuple(edges))
 
 
 def serialize_graph(g: StratifoldGraph) -> str:
-    lines = [f"white {w.name} genus {w.genus}" for w in sorted(g.whites, key=lambda w: w.name)]
-    lines += [f"black {b.name}" for b in sorted(g.blacks, key=lambda b: b.name)]
-    lines += [
-        f"edge {e.name} {e.white} {e.black} {e.label}"
-        for e in sorted(g.edges, key=lambda e: e.name)
-    ]
+    lines = [f"white {w.name} genus {w.genus}" for w in g.whites]
+    lines += [f"black {b.name}" for b in g.blacks]
+    lines += [f"edge {e.name} {e.white} {e.black} {e.label}" for e in g.edges]
     return "\n".join(lines) + "\n"
 
 
@@ -234,10 +212,7 @@ class MaximalTree(NamedTuple):
 def canonical_tree(g: StratifoldGraph) -> MaximalTree:
     """Deterministic spanning tree: BFS from the smallest white vertex,
     neighbors explored in (neighbor-name, edge-name) order."""
-    if g.whites:
-        base = min(g.white_names())
-    else:
-        base = min(g.black_names())
+    base = g.whites[0].name
     adj: dict[str, list[tuple[str, str]]] = {
         v: [] for v in g.white_names() + g.black_names()
     }

@@ -39,13 +39,26 @@ No other rule is needed to find the orders:
 * a search for small powers b^n of a black the fixpoint leaves at 0 would
   be wasted: when the fixpoint passes with every finite sigma certified,
   each vertex group embeds, so b has infinite order and no b^n = 1 holds.
+
+Every exponent |m| d the fixpoint searches is at least 1: |m| >= 1 since
+labels are nonzero, and d >= 1 in every mismatch.  Only a white handle
+that is a free product of cyclics is compared (``gog.boundary_mismatches``),
+and of its branches in ``fgroup_handles.white_handle`` these can mismatch:
+
+* a disk (genus 0, one curve) has the empty image, so d = 1;
+* a sphere with two curves of orders k1, k2 is cyclic of order
+  d = gcd(k1, k2) >= 1;
+* an eliminated undisked curve has required order 0, so a mismatch means
+  its image has a finite order d >= 1.
+
+Every other letter of a free product keeps its required order, and a
+curve of order 1 maps to the empty word, of the required order 1.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import UndeterminedError
 from .gog import boundary_mismatches, build_white_handle
@@ -54,25 +67,15 @@ from .oracle import Budget, Derivation, derivation_gcd, derive_if_h1_trivial
 from .presentation import Presentation, abelianization
 
 
-class OrderAssignment:
+class OrderAssignment(NamedTuple):
     """Read-only: one assignment is shared by every caller of the memo.
     ``ab_evidence`` holds the order of each b in H1 (0 = infinite), a cheap
     divisor of the true order computed before any search to screen it."""
 
-    def __init__(self, sigma: Mapping[str, int], unresolved: tuple[str, ...],
-                 certificates: Mapping[str, Derivation],
-                 ab_evidence: Mapping[str, int]):
-        self.__dict__.update(
-            sigma=MappingProxyType(dict(sigma)), unresolved=unresolved,
-            certificates=MappingProxyType(dict(certificates)),
-            ab_evidence=MappingProxyType(dict(ab_evidence)),
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"OrderAssignment is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, OrderAssignment) and vars(self) == vars(other)
+    sigma: Mapping[str, int]
+    unresolved: tuple[str, ...]
+    certificates: Mapping[str, Derivation]
+    ab_evidence: Mapping[str, int]
 
     @property
     def status(self) -> str:
@@ -83,61 +86,12 @@ class OrderAssignment:
             raise UndeterminedError(self.unresolved)
 
 
-class _Certificates:
-    """Per-black gcd-closed certified exponents."""
-
-    def __init__(self, pres: Presentation, budget: Budget):
-        self.pres = pres
-        self.budget = budget
-        self.best: dict[str, tuple[int, Derivation]] = {}
-        self.ab = abelianization(pres)
-        #: order of each b in H1 (0 = infinite), which divides every
-        #: certifiable exponent
-        self.h1: dict[str, int] = {
-            b: self.ab.order(((f"b.{b}", 1),))
-            for b in pres.graph.black_names()
-        }
-
-    def current(self, black: str) -> int:
-        return self.best.get(black, (0, None))[0]
-
-    def add(self, black: str, deriv: Derivation) -> None:
-        exp = sum(e for n, e in deriv.word if n == f"b.{black}")
-        exp = abs(exp)
-        if exp == 0:
-            return
-        if black not in self.best:
-            self.best[black] = (exp, deriv)
-            return
-        cur_exp, cur_deriv = self.best[black]
-        if exp % cur_exp == 0:
-            return
-        g, combined = derivation_gcd(f"b.{black}", cur_deriv, deriv)
-        self.best[black] = (abs(g), combined)
-
-    def try_derive(self, black: str, exp: int) -> bool:
-        """Search for a certificate of b^exp; fold it in when found.  No
-        search runs when H1 already refutes b^exp = 1."""
-        d = derive_if_h1_trivial(self.ab, ((f"b.{black}", exp),), self.budget)
-        if d is None:
-            return False
-        self.add(black, d)
-        return True
-
-    def sigma(self) -> dict[str, int]:
-        return {
-            b: self.current(b) for b in self.pres.graph.black_names()
-        }
-
-
 def validity_check(
     g: StratifoldGraph, sigma: dict[str, int]
 ) -> list[tuple[str, int]]:
     """Compare computed boundary-image orders with required edge-group
     orders under sigma.  Returns (black, exponent) pairs for each mismatch,
-    the exponent being the newly implied power b^{|m| d} = 1; exponent 0
-    (an image of infinite order where a finite one is required) implies
-    no finite relation and marks the black unresolvable."""
+    the exponent being the newly implied power b^{|m| d} = 1."""
     handles = {w: build_white_handle(g, w, sigma) for w in g.white_names()}
     return [
         (e.black, abs(e.label) * computed)
@@ -158,35 +112,44 @@ def resolve_orders(
 def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
     """Resolve the orders of a natural presentation over a normalized graph."""
     g = pres.graph
-    certs = _Certificates(pres, budget)
+    ab = abelianization(pres)
+    # order of each b in H1 (0 = infinite), which divides every certifiable
+    # exponent
+    h1 = {b: ab.order(((f"b.{b}", 1),)) for b in g.black_names()}
+    # black -> (e, certificate of b^e = 1), e the gcd of all exponents found
+    best: dict[str, tuple[int, Derivation]] = {}
     unresolved: set[str] = set()
+
+    def sigma() -> dict[str, int]:
+        return {b: best[b][0] if b in best else 0 for b in g.black_names()}
+
     # fixpoint: each accepted violation strictly shrinks some sigma by a
     # proper divisor, so iterations are bounded by sum(log2(sigma))
-    violations = validity_check(g, certs.sigma())
+    violations = validity_check(g, sigma())
     for _ in range(64):
         if not violations:
             break
         progress = False
         for black, exp in violations:
-            if exp == 0:
+            cur = best.get(black)
+            if cur and exp % cur[0] == 0:
+                continue  # already certified
+            letter = f"b.{black}"
+            d = derive_if_h1_trivial(ab, ((letter, exp),), budget)
+            if d is None:
                 unresolved.add(black)
                 continue
-            cur = certs.current(black)
-            if cur and gcd(cur, exp) == cur:
-                continue  # already certified
-            if certs.try_derive(black, exp):
-                progress = True
-            else:
-                unresolved.add(black)
+            best[black] = (exp, d) if cur is None else derivation_gcd(letter, cur[1], d)
+            progress = True
         if not progress:
             break
-        violations = validity_check(g, certs.sigma())
+        violations = validity_check(g, sigma())
     if not unresolved:
         # violations persist without certificates: not exact
         unresolved.update(b for b, _ in violations)
     return OrderAssignment(
-        sigma=certs.sigma(),
-        unresolved=tuple(sorted(unresolved)),
-        certificates={b: d for b, (_, d) in certs.best.items()},
-        ab_evidence=certs.h1,
+        MappingProxyType(sigma()),
+        tuple(sorted(unresolved)),
+        MappingProxyType({b: d for b, (_, d) in best.items()}),
+        MappingProxyType(h1),
     )

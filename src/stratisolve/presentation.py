@@ -57,24 +57,20 @@ class Presentation(NamedTuple):
 
 
 def natural_presentation(g: StratifoldGraph, t: MaximalTree) -> Presentation:
-    gens: list[str] = [f"b.{b}" for b in sorted(g.black_names())]
-    for w in sorted(g.white_names()):
-        gens.extend(f"c.{e.name}" for e in sorted(g.edges_at_white(w), key=lambda e: e.name))
+    gens: list[str] = [f"b.{b}" for b in g.black_names()]
+    for w in g.white_names():
+        gens.extend(f"c.{e.name}" for e in g.edges_at_white(w))
         gens.extend(surface_names(w, g.white(w).genus))
-    non_tree = sorted(e.name for e in g.edges if e.name not in t.tree_edges)
-    gens.extend(f"t.{e}" for e in non_tree)
+    gens.extend(f"t.{e.name}" for e in g.edges if e.name not in t.tree_edges)
 
     relators: list[Word] = []
-    for w in sorted(g.white_names()):
-        boundary = tuple(
-            (f"c.{e.name}", 1)
-            for e in sorted(g.edges_at_white(w), key=lambda e: e.name)
-        )
+    for w in g.white_names():
+        boundary = tuple((f"c.{e.name}", 1) for e in g.edges_at_white(w))
         genus = g.white(w).genus
         relators.append(
             concat(boundary, genus_word(surface_names(w, genus), genus))
         )
-    for e in sorted(g.edges, key=lambda e: e.name):
+    for e in g.edges:
         if e.name in t.tree_edges:
             relators.append(
                 free_reduce(((f"b.{e.black}", e.label), (f"c.{e.name}", -1)))

@@ -10,11 +10,13 @@ from stratisolve.errors import (
     ZeroLabelError,
 )
 from stratisolve.graph_model import (
+    StratifoldGraph,
     canonical_tree,
     normalize_orientations,
     parse_graph,
     serialize_graph,
 )
+from stratisolve.pipeline import compile
 
 Z3 = "white w1 genus 0\nblack b1\nedge e1 w1 b1 3\n"
 BS = "white w1 genus 0\nblack b1\nedge e1 w1 b1 1\nedge e2 w1 b1 2\n"
@@ -80,6 +82,21 @@ def test_invalid_graphs_rejected(text, error):
 def test_black_degree_counts_sheets_not_edges():
     # two edges with |labels| 1+2 = 3 sheets is legal
     parse_graph(BS)
+
+
+def test_graph_keeps_name_order_whatever_the_input_order():
+    # names sort as strings: e10 comes before e2
+    g = parse_graph(
+        "white w2 genus 1\nwhite w1 genus 0\nblack b2\nblack b1\n"
+        "edge e2 w2 b1 1\nedge e10 w1 b1 2\nedge e1 w1 b2 3\n"
+        "edge e3 w2 b2 -1\n"
+    )
+    assert [e.name for e in g.edges] == ["e1", "e10", "e2", "e3"]
+    h = StratifoldGraph(*(tuple(reversed(part))
+                          for part in (g.whites, g.blacks, g.edges)))
+    assert (h.whites, h.blacks, h.edges) == (g.whites, g.blacks, g.edges)
+    assert h == g and hash(h) == hash(g)
+    assert compile(h) is compile(g)
 
 
 def test_canonical_tree_deterministic():

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import pytest
 from test_acceptance import _random_valid_graph
 
-from stratisolve import oracle
+from stratisolve import oracle, order_engine
 from stratisolve.errors import UndeterminedError
 from stratisolve.graph_model import canonical_tree, parse_graph
 from stratisolve.oracle import DEFAULT_BUDGET, Budget, replay_derivation
@@ -207,3 +208,49 @@ def test_certified_orders_are_multiples_of_the_h1_order():
             d = oa.certificates[b]
             assert d.word == ((f"b.{b}", sig),)
             assert replay_derivation(c.pres, d), (g, b)
+
+
+# -- pinned resolution ------------------------------------------------------------
+
+#: sha256 of what ``_pinned_outcomes`` yields for the fixtures and the first
+#: 150 valid acceptance-generator graphs of seed 15 at ``PIN_BUDGET``: any
+#: change in a status, an order or which certificate is kept shows here
+PIN_DIGEST = "73324dff43e147ae5c8e36d660a46af69b0957fdfefcca8dfa54498ad25e06f6"
+PIN_BUDGET = Budget(insertions=4, max_length=40, max_expansions=20)
+PIN_GRAPHS = 150
+
+
+def _pinned_outcomes(fixtures):
+    rng = random.Random(15)
+    graphs = list(fixtures.values())
+    while len(graphs) < len(fixtures) + PIN_GRAPHS:
+        g = _random_valid_graph(rng)
+        if g is not None:
+            graphs.append(g)
+    for g in graphs:
+        # certify_orders bypasses the memo, so every graph is resolved here
+        oa = certify_orders(compile(g).pres, PIN_BUDGET)
+        yield (
+            oa.status, sorted(oa.sigma.items()), oa.unresolved,
+            [(b, d.word, [tuple(s) for s in d.steps])
+             for b, d in sorted(oa.certificates.items())],
+            sorted(oa.ab_evidence.items()),
+        )
+
+
+def test_order_resolution_is_pinned(fixtures, monkeypatch):
+    exponents = []
+    original = order_engine.validity_check
+
+    def spy(g, sigma):
+        found = original(g, sigma)
+        exponents.extend(e for _, e in found)
+        return found
+
+    monkeypatch.setattr(order_engine, "validity_check", spy)
+    h = hashlib.sha256()
+    for outcome in _pinned_outcomes(fixtures):
+        h.update(repr(outcome).encode())
+    # the docstring of order_engine argues every searched exponent is >= 1
+    assert exponents and min(exponents) >= 1
+    assert h.hexdigest() == PIN_DIGEST
