@@ -6,6 +6,10 @@ abelian / sc / wedge plus the oracle tools.  Exit codes: 0 success,
 4 undetermined (order resolution exhausted its budget, or the coset table
 of ``oracle cayley`` did not close).  JSON output is
 deterministic: keys sorted, no timing, byte-identical across runs.
+
+Each command takes the loaded graph and the parsed arguments and returns
+its report and exit code; ``run`` loads the graph, prints the report and
+turns errors into exit codes.
 """
 
 from __future__ import annotations
@@ -16,30 +20,15 @@ import sys
 
 from .decisions import is_abelian, is_simply_connected, prune, wedge_check
 from .errors import (
-    BlackDegreeError,
-    DanglingEdgeError,
-    DisconnectedError,
-    DuplicateNameError,
-    GraphSyntaxError,
-    IncompleteTableError,
-    NotApplicableError,
-    NotZeroTerminalError,
-    StratisolveError,
-    TreeEdgeStableError,
-    UndeterminedError,
-    UnknownGeneratorError,
-    UnknownVertexError,
-    WordSyntaxError,
-    ZeroLabelError,
+    BlackDegreeError, DanglingEdgeError, DisconnectedError, DuplicateNameError,
+    GraphSyntaxError, IncompleteTableError, NotApplicableError, NotZeroTerminalError,
+    StratisolveError, UndeterminedError, UnknownGeneratorError, UnknownVertexError,
+    WordSyntaxError, ZeroLabelError,
 )
 from .graph_model import parse_graph
 from .oracle import (
-    Budget,
-    cayley_wp,
-    derive_if_h1_trivial,
-    finite_quotient_search,
-    replay_derivation,
-    todd_coxeter,
+    Budget, cayley_wp, derive_if_h1_trivial, finite_quotient_search,
+    replay_derivation, todd_coxeter,
 )
 from .order_engine import resolve_orders
 from .pipeline import compile
@@ -52,21 +41,25 @@ EXIT_PARSE = 2
 EXIT_INVARIANT = 3
 EXIT_UNDETERMINED = 4
 
-_PARSE_ERRORS = (
-    GraphSyntaxError,
-    WordSyntaxError,
-    UnknownGeneratorError,
-    TreeEdgeStableError,
-    UnknownVertexError,
-)
-_INVARIANT_ERRORS = (
-    DuplicateNameError,
-    DanglingEdgeError,
-    ZeroLabelError,
-    BlackDegreeError,
-    DisconnectedError,
-    NotApplicableError,
-    NotZeroTerminalError,
+
+class _UsageError(Exception):
+    """A usage error that argparse cannot see, such as a missing word."""
+
+
+#: how ``run`` reports an error: the first row whose classes match gives the
+#: exit code and the stderr prefix.  The invariant violations come before
+#: the parse errors, because several of them subclass GraphSyntaxError.
+_ERROR_EXITS = (
+    (_UsageError, EXIT_USAGE, "error"),
+    (UndeterminedError, EXIT_UNDETERMINED,
+     "undetermined: could not certify orders for"),
+    (IncompleteTableError, EXIT_UNDETERMINED, "undetermined"),
+    ((DuplicateNameError, DanglingEdgeError, ZeroLabelError, BlackDegreeError,
+      DisconnectedError, NotApplicableError, NotZeroTerminalError),
+     EXIT_INVARIANT, "invalid input"),
+    ((GraphSyntaxError, WordSyntaxError, UnknownGeneratorError, UnknownVertexError),
+     EXIT_PARSE, "parse error"),
+    (StratisolveError, EXIT_INVARIANT, "error"),
 )
 
 
@@ -84,6 +77,10 @@ def _load_graph(path: str):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from None
+    except UnicodeDecodeError as exc:
+        raise GraphSyntaxError(
+            f"{path} is not UTF-8: {exc.reason} at byte {exc.start}"
+        ) from None
     return parse_graph(text)
 
 
@@ -95,222 +92,150 @@ def _budget(text: str) -> Budget:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _emit(report: dict, as_json: bool) -> None:
-    if as_json:
-        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
-        return
-    for key, value in report.items():
-        print(f"{key}: {value}")
-
-
 # -- subcommands ----------------------------------------------------------
 
-def cmd_validate(args) -> int:
-    g = _load_graph(args.graph)
-    _emit(
-        {
-            "command": "validate",
-            "ok": True,
-            "whites": len(g.whites),
-            "blacks": len(g.blacks),
-            "edges": len(g.edges),
-        },
-        args.json,
-    )
-    return EXIT_OK
+def cmd_validate(g, args):
+    return {"ok": True, "whites": len(g.whites), "blacks": len(g.blacks),
+            "edges": len(g.edges)}, EXIT_OK
 
 
-def cmd_present(args) -> int:
-    p = compile(_load_graph(args.graph)).pres
-    report = {
-        "command": "present",
+def cmd_present(g, args):
+    p = compile(g).pres
+    return {
         "basepoint": p.tree.basepoint,
         "tree_edges": sorted(p.tree.tree_edges),
         "generators": list(p.generators),
         "relators": [format_word(r) for r in p.relators],
-    }
-    _emit(report, args.json)
-    return EXIT_OK
+    }, EXIT_OK
 
 
-def cmd_solve(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_solve(g, args):
     verdict = word_problem(g, args.word, args.budget)
-    report = {
-        "command": "solve",
-        "word": args.word,
-        "verdict": verdict.label,
-        "reduced_length": verdict.reduced_length,
-    }
+    report = {"word": args.word, "verdict": verdict.label,
+              "reduced_length": verdict.reduced_length}
     if args.trace:
-        report["trace"] = [
-            {
-                "index": s.index,
-                "edge": s.edge,
-                "end": s.end,
-                "witness": s.witness,
-            }
-            for s in verdict.trace
-        ]
-    _emit(report, args.json)
-    return EXIT_OK
+        report["trace"] = [s._asdict() for s in verdict.trace]
+    return report, EXIT_OK
 
 
-def cmd_order(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_order(g, args):
     g.black(args.black)
     oa = resolve_orders(g, args.budget)
-    report = {
-        "command": "order",
-        "black": args.black,
-        "status": oa.status,
-        "order": oa.sigma[args.black],
-    }
+    report = {"black": args.black, "status": oa.status,
+              "order": oa.sigma[args.black]}
     if oa.unresolved:
         report["unresolved"] = list(oa.unresolved)
-    _emit(report, args.json)
-    if oa.status != "exact":
-        return EXIT_UNDETERMINED
-    return EXIT_OK
+    return report, EXIT_OK if oa.status == "exact" else EXIT_UNDETERMINED
 
 
-def cmd_abelian(args) -> int:
-    g = _load_graph(args.graph)
-    value = is_abelian(g, args.budget)
-    _emit({"command": "abelian", "abelian": value}, args.json)
-    return EXIT_OK
+def cmd_abelian(g, args):
+    return {"abelian": is_abelian(g, args.budget)}, EXIT_OK
 
 
-def cmd_sc(args) -> int:
-    g = _load_graph(args.graph)
-    value = is_simply_connected(g, args.budget)
-    _emit({"command": "sc", "simply_connected": value}, args.json)
-    return EXIT_OK
+def cmd_sc(g, args):
+    return {"simply_connected": is_simply_connected(g, args.budget)}, EXIT_OK
 
 
-def cmd_wedge(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_wedge(g, args):
     n = wedge_check(g, args.budget)
-    report = {
-        "command": "wedge",
-        "simply_connected": n is not None,
-        "spheres": n,
-    }
-    _emit(report, args.json)
-    return EXIT_OK
+    return {"simply_connected": n is not None, "spheres": n}, EXIT_OK
 
 
-def cmd_prune(args) -> int:
-    g = _load_graph(args.graph)
+def cmd_prune(g, args):
     rep = prune(g, args.budget)
-    report = {
-        "command": "prune",
-        "success": rep.success,
-        "steps": [
-            {"black": s.black, "white": s.white, "order": s.order,
-             "action": s.action}
-            for s in rep.steps
-        ],
-        "final_components": len(rep.final_components),
-    }
-    _emit(report, args.json)
-    return EXIT_OK
+    return {"success": rep.success, "steps": [s._asdict() for s in rep.steps],
+            "final_components": len(rep.final_components)}, EXIT_OK
 
 
-def _int_arg(args, default: int) -> int | None:
-    """The oracle's numeric argument; None after reporting a usage error."""
+# -- oracle operations ------------------------------------------------------
+
+def _word_arg(args) -> str:
+    if args.arg is None:
+        raise _UsageError(f"oracle {args.subop} needs a word")
+    return args.arg
+
+
+def _int_arg(args, default: int) -> int:
+    """The oracle's numeric argument: a positive integer."""
     if args.arg is None:
         return default
     try:
         value = int(args.arg)
     except ValueError:
-        print(
-            f"error: oracle {args.subop} needs an integer, not {args.arg!r}",
-            file=sys.stderr,
-        )
-        return None
+        raise _UsageError(
+            f"oracle {args.subop} needs an integer, not {args.arg!r}") from None
     if value < 1:
-        print(
-            f"error: oracle {args.subop} needs a positive integer, not {value}",
-            file=sys.stderr,
-        )
-        return None
+        raise _UsageError(f"oracle {args.subop} needs a positive integer, not {value}")
     return value
 
 
-def cmd_oracle(args) -> int:
-    compiled = compile(_load_graph(args.graph), args.budget)
-    p = compiled.pres
-    if args.subop == "derive":
-        if args.arg is None:
-            print("error: oracle derive needs a word", file=sys.stderr)
-            return EXIT_USAGE
-        w = parse_word(args.arg, p)
-        d = derive_if_h1_trivial(abelianization(p), w, compiled.budget)
-        report = {
-            "command": "oracle derive",
-            "word": args.arg,
-            "found": d is not None,
-        }
-        if d is not None:
-            report["insertions"] = len(d.steps)
-            report["replays"] = replay_derivation(p, d)
-            if args.trace:
-                report["steps"] = [
-                    {
-                        "conjugator": format_word(s.conjugator),
-                        "relator": s.relator_index,
-                        "sign": s.sign,
-                    }
-                    for s in d.steps
-                ]
-        _emit(report, args.json)
-        return EXIT_OK
-    if args.subop == "tc":
-        cap = _int_arg(args, 100000)
-        if cap is None:
-            return EXIT_USAGE
-        t = todd_coxeter(p, cap)
-        _emit(
-            {"command": "oracle tc", "status": t.status, "order": t.order},
-            args.json,
-        )
-        return EXIT_OK
-    if args.subop == "cayley":
-        if args.arg is None:
-            print("error: oracle cayley needs a word", file=sys.stderr)
-            return EXIT_USAGE
-        t = todd_coxeter(p)
-        value = cayley_wp(t, parse_word(args.arg, p))
-        _emit(
-            {"command": "oracle cayley", "word": args.arg, "trivial": value},
-            args.json,
-        )
-        return EXIT_OK
-    if args.subop == "quotients":
-        degree = _int_arg(args, 6)
-        if degree is None:
-            return EXIT_USAGE
-        homs = finite_quotient_search(p, degree)
-        report = {
-            "command": "oracle quotients",
-            "max_degree": degree,
-            "count": len(homs),
-            "quotients": sorted(
-                {
-                    (h.degree, h.image_order() or 0)
-                    for h in homs
-                }
-            ),
-        }
-        report["quotients"] = [list(q) for q in report["quotients"]]
-        _emit(report, args.json)
-        return EXIT_OK
-    print(f"error: unknown oracle operation {args.subop!r}", file=sys.stderr)
-    return EXIT_USAGE
+def _oracle_derive(c, args):
+    text = _word_arg(args)
+    w = parse_word(text, c.pres)
+    d = derive_if_h1_trivial(abelianization(c.pres), w, c.budget)
+    report = {"word": text, "found": d is not None}
+    if d is not None:
+        report["insertions"] = len(d.steps)
+        report["replays"] = replay_derivation(c.pres, d)
+        if args.trace:
+            report["steps"] = [
+                {"conjugator": format_word(s.conjugator),
+                 "relator": s.relator_index, "sign": s.sign}
+                for s in d.steps
+            ]
+    return report, EXIT_OK
+
+
+def _oracle_tc(c, args):
+    t = todd_coxeter(c.pres, _int_arg(args, 100000))
+    return {"status": t.status, "order": t.order}, EXIT_OK
+
+
+def _oracle_cayley(c, args):
+    text = _word_arg(args)
+    t = todd_coxeter(c.pres)
+    return {"word": text, "trivial": cayley_wp(t, parse_word(text, c.pres))}, EXIT_OK
+
+
+def _oracle_quotients(c, args):
+    degree = _int_arg(args, 6)
+    homs = finite_quotient_search(c.pres, degree)
+    quotients = sorted({(h.degree, h.image_order() or 0) for h in homs})
+    return {"max_degree": degree, "count": len(homs),
+            "quotients": [list(q) for q in quotients]}, EXIT_OK
+
+
+#: oracle operation -> function of the compiled graph and the arguments
+_ORACLE = {
+    "derive": _oracle_derive,
+    "tc": _oracle_tc,
+    "cayley": _oracle_cayley,
+    "quotients": _oracle_quotients,
+}
+
+
+def cmd_oracle(g, args):
+    return _ORACLE[args.subop](compile(g, args.budget), args)
 
 
 # -- argument parsing -------------------------------------------------------
+
+#: command -> (function, its positional arguments after the graph)
+_COMMANDS = {
+    "validate": (cmd_validate, {}),
+    "present": (cmd_present, {}),
+    "solve": (cmd_solve, {"word": {"help": "word over the presentation"}}),
+    "order": (cmd_order, {"black": {"help": "black vertex name"}}),
+    "abelian": (cmd_abelian, {}),
+    "sc": (cmd_sc, {}),
+    "wedge": (cmd_wedge, {}),
+    "prune": (cmd_prune, {}),
+    "oracle": (cmd_oracle, {
+        "subop": {"choices": list(_ORACLE), "help": "oracle operation"},
+        "arg": {"nargs": "?", "help": "word / coset cap / degree"},
+    }),
+}
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(
@@ -331,56 +256,34 @@ def _build_parser() -> _Parser:
         help="include reduction/derivation certificates in the output",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    def add(name, fn, **extra):
+    for name, (fn, extra) in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("graph", help="path to a labelled graph file")
         for arg, kwargs in extra.items():
             sp.add_argument(arg, **kwargs)
         sp.set_defaults(fn=fn)
-        return sp
-
-    add("validate", cmd_validate)
-    add("present", cmd_present)
-    add("solve", cmd_solve, word={"help": "word over the presentation"})
-    add("order", cmd_order, black={"help": "black vertex name"})
-    add("abelian", cmd_abelian)
-    add("sc", cmd_sc)
-    add("wedge", cmd_wedge)
-    add("prune", cmd_prune)
-    sp = add("oracle", cmd_oracle, subop={
-        "choices": ["derive", "tc", "cayley", "quotients"],
-        "help": "oracle operation",
-    })
-    sp.add_argument("arg", nargs="?", help="word / coset cap / degree")
     return parser
 
 
 def run(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except UndeterminedError as exc:
-        blacks = ", ".join(exc.blacks)
-        print(
-            f"undetermined: could not certify orders for: {blacks}",
-            file=sys.stderr,
-        )
-        return EXIT_UNDETERMINED
-    except IncompleteTableError as exc:
-        print(f"undetermined: {exc}", file=sys.stderr)
-        return EXIT_UNDETERMINED
-    # invariant violations first: several subclass GraphSyntaxError
-    except _INVARIANT_ERRORS as exc:
-        print(f"invalid input: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except _PARSE_ERRORS as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except StratisolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+        report, code = args.fn(_load_graph(args.graph), args)
+    except (_UsageError, StratisolveError) as exc:
+        # the last row catches every StratisolveError
+        _, code, prefix = next(row for row in _ERROR_EXITS if isinstance(exc, row[0]))
+        # an undetermined order search is reported by the circles it names
+        detail = ", ".join(exc.blacks) if isinstance(exc, UndeterminedError) else exc
+        print(f"{prefix}: {detail}", file=sys.stderr)
+        return code
+    command = f"oracle {args.subop}" if args.cmd == "oracle" else args.cmd
+    report = {"command": command, **report}
+    if args.json:
+        print(json.dumps(report, sort_keys=True, separators=(",", ":")))
+    else:
+        for key, value in report.items():
+            print(f"{key}: {value}")
+    return code
 
 
 def main() -> None:

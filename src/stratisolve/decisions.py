@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .errors import InternalError, NotApplicableError, NotZeroTerminalError
-from .graph_model import StratifoldGraph
+from .graph_model import StratifoldGraph, breadth_first
 from .pipeline import compile
 from .serre_solver import word_problem
 
@@ -85,38 +85,21 @@ def _screen(g: StratifoldGraph):
     return None
 
 
-def _components(
-    whites, blacks, edges
-) -> tuple[StratifoldGraph, ...]:
+def _components(whites, blacks, edges) -> tuple[StratifoldGraph, ...]:
+    comps: list[set[str]] = []
     names = [w.name for w in whites] + [b.name for b in blacks]
-    if not names:
-        return ()
-    adj = {n: set() for n in names}
-    for e in edges:
-        adj[e.white].add(e.black)
-        adj[e.black].add(e.white)
-    seen: set[str] = set()
-    out = []
-    for start in sorted(names):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for u in adj[v]:
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        seen |= comp
-        out.append(
-            StratifoldGraph(
-                tuple(w for w in whites if w.name in comp),
-                tuple(b for b in blacks if b.name in comp),
-                tuple(e for e in edges if e.white in comp),
-            )
+    for v, link in breadth_first(names, edges, sorted(names)).items():
+        if link is None:  # a root starts the next component
+            comps.append(set())
+        comps[-1].add(v)
+    return tuple(
+        StratifoldGraph(
+            tuple(w for w in whites if w.name in comp),
+            tuple(b for b in blacks if b.name in comp),
+            tuple(e for e in edges if e.white in comp),
         )
-    return tuple(out)
+        for comp in comps
+    )
 
 
 def prune(g: StratifoldGraph, budget=None) -> PruneReport:

@@ -362,8 +362,11 @@ def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
     """The classified handle of a white vertex group.  Handles are never
     changed once built, so one is shared by every classification of the
     same spec: each validity round of the order engine and the graph of
-    groups.  The graph of groups rereads only the last round, so the cache
-    needs to hold one round (129 entries on a 64-link chain)."""
+    groups.  The graph of groups rereads only the last round, and the 256
+    entries hold it while a round classifies at most 256 specs: on a
+    127-link chain (255 whites) the graph of groups hits on every white.
+    At 128 links (257 whites) the least recently used entry is always the
+    next one asked for, so the graph of groups misses on every white."""
     images = {name: ((name, 1),) for name in spec.boundary_names}
     q = genus_word(spec.surface_names, spec.genus)
     curves = tuple(zip(spec.boundary_names, spec.boundary_orders))

@@ -209,31 +209,40 @@ class MaximalTree(NamedTuple):
         return tuple(reversed(rev))
 
 
-def canonical_tree(g: StratifoldGraph) -> MaximalTree:
-    """Deterministic spanning tree: BFS from the smallest white vertex,
-    neighbors explored in (neighbor-name, edge-name) order."""
-    base = g.whites[0].name
-    adj: dict[str, list[tuple[str, str]]] = {
-        v: [] for v in g.white_names() + g.black_names()
-    }
-    for e in g.edges:
+def breadth_first(vertices, edges, roots) -> dict[str, tuple[str, str] | None]:
+    """Breadth-first search from each root not yet reached, in turn,
+    neighbours explored in (neighbour-name, edge-name) order.  Maps each
+    reached vertex to its (parent vertex, edge name) and each root to None,
+    in the order reached, so every root is followed by its component."""
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in vertices}
+    for e in edges:
         adj[e.white].append((e.black, e.name))
         adj[e.black].append((e.white, e.name))
     for v in adj:
         adj[v].sort()
-    parent: dict[str, tuple[str, str]] = {}
-    tree_edges: set[str] = set()
-    seen = {base}
-    queue = deque([base])
-    while queue:
-        v = queue.popleft()
-        for u, ename in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = (v, ename)
-                tree_edges.add(ename)
-                queue.append(u)
-    return MaximalTree(base, frozenset(tree_edges), parent)
+    reached: dict[str, tuple[str, str] | None] = {}
+    for root in roots:
+        if root in reached:
+            continue
+        reached[root] = None
+        queue = deque([root])
+        while queue:
+            v = queue.popleft()
+            for u, ename in adj[v]:
+                if u not in reached:
+                    reached[u] = (v, ename)
+                    queue.append(u)
+    return reached
+
+
+def canonical_tree(g: StratifoldGraph) -> MaximalTree:
+    """Deterministic spanning tree: BFS from the smallest white vertex,
+    neighbors explored in (neighbor-name, edge-name) order."""
+    base = g.whites[0].name
+    parent = breadth_first(g.white_names() + g.black_names(), g.edges, (base,))
+    del parent[base]
+    tree_edges = frozenset(ename for _, ename in parent.values())
+    return MaximalTree(base, tree_edges, parent)
 
 
 def normalize_orientations(

@@ -280,7 +280,6 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100000) -> CosetTable:
     ]
 
     table: list[list[int | None]] = [[None] * ncols]
-    alive = [True]
     rep = list(range(1))
     merge_queue: list[tuple[int, int]] = []
 
@@ -294,7 +293,6 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100000) -> CosetTable:
         if len(table) >= max_cosets:
             return None
         table.append([None] * ncols)
-        alive.append(True)
         rep.append(len(table) - 1)
         b = len(table) - 1
         set_entry(a, c, b)
@@ -318,7 +316,6 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100000) -> CosetTable:
             if b < a:
                 a, b = b, a
             rep[b] = a
-            alive[b] = False
             for c in range(ncols):
                 y = table[b][c]
                 if y is not None:
@@ -367,26 +364,25 @@ def todd_coxeter(p: Presentation, max_cosets: int = 100000) -> CosetTable:
 
     a = 0
     while a < len(table):
-        if not alive[find(a)] or find(a) != a:
+        if find(a) != a:
             a += 1
             continue
         for path in rel_paths:
-            if not alive[a] or find(a) != a:
+            if find(a) != a:
                 break
             if not scan(a, path):
                 return CosetTable(gens, "exhausted", None, table)
-        if alive[a] and find(a) == a:
-            for c in range(ncols):
-                if not alive[a] or find(a) != a:
-                    break
-                if table[a][c] is None:
-                    if define(a, c) is None:
-                        return CosetTable(gens, "exhausted", None, table)
-                    process_merges()
+        for c in range(ncols):
+            if find(a) != a:
+                break
+            if table[a][c] is None:
+                if define(a, c) is None:
+                    return CosetTable(gens, "exhausted", None, table)
+                process_merges()
         a += 1
 
     # compact to live cosets
-    live = sorted({find(i) for i in range(len(table)) if alive[find(i)]})
+    live = sorted({find(i) for i in range(len(table))})
     index = {old: new for new, old in enumerate(live)}
     rows = [
         [index[find(table[old][c])] for c in range(ncols)] for old in live

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -225,6 +226,11 @@ def test_exit_codes(fx, tmp_path, capsys):
     assert run(["validate", str(caret)]) == 2  # a name no word can spell
     assert "parse error" in capsys.readouterr().err
 
+    latin1 = tmp_path / "latin1"
+    latin1.write_bytes(b"\xff")
+    assert run(["validate", str(latin1)]) == 2  # not UTF-8
+    assert capsys.readouterr().err.startswith("parse error: ")
+
     assert run(["solve", fx("FX-Z3"), "b.b1^^"]) == 2  # word syntax
     capsys.readouterr()
 
@@ -246,3 +252,50 @@ def test_order_checks_black_name_before_order_search(fx, capsys, monkeypatch):
     monkeypatch.setattr(cli, "resolve_orders", refuse)
     assert run(["--json", "order", fx("FX-BS"), "nosuch"]) == 2
     assert "nosuch" in capsys.readouterr().err
+
+
+# -- pinned output ----------------------------------------------------------------
+
+#: sha256 of what ``_pinned_cli_calls`` prints and returns: a change in any
+#: stdout byte, stderr line or exit code of these calls shows here
+CLI_PIN_DIGEST = "072bb7f1ee2cfe5d8f8f39b34849e6f25ea72f702b2a4eb4b02bf933c7bad791"
+
+#: fixture -> (a word, a word for ``oracle derive``, a black): each derive
+#: word is trivial or nonzero in H1, so no search runs out its budget
+CLI_PIN_FIXTURES = {
+    "FX-Z3": ("b.b1^3", "b.b1^3", "b1"),
+    "FX-BS": ("t.e2", "t.e2", "b1"),
+    "FX-TRI(2,3,7)": ("c.e1 * c.e2", "b.b1^2", "b3"),
+}
+
+
+def _pinned_cli_calls():
+    """(flags, command, fixture, arguments after the graph) of every
+    subcommand in plain and ``--json`` form, the two ``--trace`` commands,
+    and the two oracle operations that need a word, given none."""
+    for fx, (word, derived, black) in CLI_PIN_FIXTURES.items():
+        commands = [
+            ("validate",), ("present",), ("solve", word), ("order", black),
+            ("abelian",), ("sc",), ("wedge",), ("prune",),
+            ("oracle", "derive", derived), ("oracle", "tc", "2000"),
+            ("oracle", "cayley", word), ("oracle", "quotients", "4"),
+        ]
+        for flags in ((), ("--json",)):
+            for command, *rest in commands:
+                yield flags, command, fx, rest
+        for flags in (("--trace",), ("--json", "--trace")):
+            yield flags, "solve", fx, [word]
+            yield flags, "oracle", fx, ["derive", derived]
+        yield (), "oracle", fx, ["derive"]
+        yield (), "oracle", fx, ["cayley"]
+
+
+def test_cli_output_is_pinned(capsys):
+    h = hashlib.sha256()
+    for flags, command, fx, rest in _pinned_cli_calls():
+        code = run([*flags, command, str(fixture_path(fx)), *rest])
+        captured = capsys.readouterr()
+        # the fixture's name, not its path, which differs between checkouts
+        argv = [*flags, command, fx, *rest]
+        h.update(repr((argv, code, captured.out, captured.err)).encode())
+    assert h.hexdigest() == CLI_PIN_DIGEST
