@@ -51,9 +51,7 @@ class _UsageError(Exception):
 #: the parse errors, because several of them subclass GraphSyntaxError.
 _ERROR_EXITS = (
     (_UsageError, EXIT_USAGE, "error"),
-    (UndeterminedError, EXIT_UNDETERMINED,
-     "undetermined: could not certify orders for"),
-    (IncompleteTableError, EXIT_UNDETERMINED, "undetermined"),
+    ((UndeterminedError, IncompleteTableError), EXIT_UNDETERMINED, "undetermined"),
     ((DuplicateNameError, DanglingEdgeError, ZeroLabelError, BlackDegreeError,
       DisconnectedError, NotApplicableError, NotZeroTerminalError),
      EXIT_INVARIANT, "invalid input"),
@@ -272,9 +270,7 @@ def run(argv=None) -> int:
     except (_UsageError, StratisolveError) as exc:
         # the last row catches every StratisolveError
         _, code, prefix = next(row for row in _ERROR_EXITS if isinstance(exc, row[0]))
-        # an undetermined order search is reported by the circles it names
-        detail = ", ".join(exc.blacks) if isinstance(exc, UndeterminedError) else exc
-        print(f"{prefix}: {detail}", file=sys.stderr)
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return code
     command = f"oracle {args.subop}" if args.cmd == "oracle" else args.cmd
     report = {"command": command, **report}

@@ -73,9 +73,7 @@ class UndeterminedError(StratisolveError):
 
     def __init__(self, blacks):
         self.blacks = tuple(blacks)
-        super().__init__(
-            "could not certify orders for black vertices: " + ", ".join(self.blacks)
-        )
+        super().__init__("could not certify orders for: " + ", ".join(self.blacks))
 
 
 class IncompleteTableError(StratisolveError):

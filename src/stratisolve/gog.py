@@ -8,7 +8,9 @@ with label m into a black vertex of order sigma is cyclic of order
     k = sigma / gcd(sigma, |m|)     (k = 0 when sigma = 0)
 
 with monomorphisms sending the edge generator to b^m on the black side and
-to the white handle's image of the boundary curve on the white side.
+to the white handle's image of the boundary curve on the white side.  One
+table holds each end of each edge as (vertex handle, image of the edge
+generator), so edge-group membership is one ``cyclic_membership`` call.
 
 Natural-presentation words embed as based loops r0 e1 r1 ... en rn along
 maximal-tree paths; the loop keeps the tree scaffolding eagerly so the
@@ -21,10 +23,10 @@ from math import gcd
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple
 
-from .errors import InjectivityError, InternalError, UnknownGeneratorError
+from .errors import InjectivityError, UnknownGeneratorError
 from .fgroup_handles import WhiteGroupSpec, WhiteHandle, white_handle
 from .graph_model import Edge, MaximalTree, StratifoldGraph
-from .local_groups import FreeProductOfCyclics, solve_congruence
+from .local_groups import FreeProductOfCyclics
 from .presentation import surface_names
 from .words import EMPTY, Word, concat, power
 
@@ -118,6 +120,13 @@ class GraphOfGroups:
             (b, FreeProductOfCyclics(((f"b.{b}", self.sigma[b]),)))
             for b in graph.black_names()
         )
+        # (edge, end) -> (handle at that end, image of the edge generator)
+        self._ends = {}
+        for e in graph.edges:
+            white_image = self.white_handles[e.white].boundary_images[f"c.{e.name}"]
+            self._ends[e.name, "white"] = (self._handles[e.white], white_image)
+            black_image = ((f"b.{e.black}", e.label),)
+            self._ends[e.name, "black"] = (self._handles[e.black], black_image)
         bad = next(boundary_mismatches(graph, self.white_handles, self.sigma), None)
         if bad is not None:
             e, computed, required = bad
@@ -131,105 +140,71 @@ class GraphOfGroups:
     def vertex_handle(self, v: str):
         return self._handles[v]
 
+    def _end(self, edge_name: str, end: str):
+        try:
+            return self._ends[edge_name, end]
+        except KeyError:
+            self.graph.edge(edge_name)  # UnknownVertexError for an unknown edge
+            raise ValueError(f"end must be 'black' or 'white', got {end!r}") from None
+
     def white_image(self, edge_name: str) -> Word:
         """Image of the edge generator in the white handle's letters."""
-        e = self.graph.edge(edge_name)
-        return self.white_handles[e.white].boundary_images[f"c.{edge_name}"]
-
-    def black_image(self, edge_name: str) -> Word:
-        e = self.graph.edge(edge_name)
-        return ((f"b.{e.black}", e.label),)
-
-    # -- edge-group membership with witness ---------------------------------
+        return self._end(edge_name, "white")[1]
 
     def edge_membership(self, edge_name: str, end: str, r: Word):
         """Witness s with r = (edge-generator image)^s at the given end
         ('black' or 'white'), or None."""
-        e = self.graph.edge(edge_name)
-        if end == "black":
-            letter = f"b.{e.black}"
-            x = 0
-            for name, exp in r:
-                if name != letter:
-                    raise UnknownGeneratorError(
-                        f"{name!r} is not a letter at black vertex {e.black!r}"
-                    )
-                x += exp
-            return solve_congruence(e.label, x, self.sigma[e.black])
-        if end != "white":
-            raise ValueError(f"end must be 'black' or 'white', got {end!r}")
-        handle = self._handles[e.white]
-        return handle.cyclic_membership(r, self.white_image(edge_name))
+        handle, image = self._end(edge_name, end)
+        return handle.cyclic_membership(r, image)
 
     def transport(self, edge_name: str, to_end: str, s: int) -> Word:
         """The edge-group element with witness exponent s, written at the
         requested end."""
-        if to_end == "black":
-            return power(self.black_image(edge_name), s)
-        return power(self.white_image(edge_name), s)
+        return power(self._end(edge_name, to_end)[1], s)
 
 
 # -- loop-word translation ------------------------------------------------
 
 
-class _LoopBuilder:
-    def __init__(self, gog: GraphOfGroups):
-        self.gog = gog
-        self.vertices = [gog.basepoint]
-        self.vertex_words: list[Word] = [EMPTY]
-        self.edges: list[DirectedEdge] = []
-
-    def add_word(self, w: Word) -> None:
-        self.vertex_words[-1] = concat(self.vertex_words[-1], w)
-
-    def add_edge(self, de: DirectedEdge) -> None:
-        e = self.gog.graph.edge(de.edge)
-        here, there = (e.white, e.black) if de.to_black else (e.black, e.white)
-        if self.vertices[-1] != here:
-            raise InternalError("loop word lost its footing")
-        self.edges.append(de)
-        self.vertices.append(there)
-        self.vertex_words.append(EMPTY)
-
-    def cross(self, ename: str) -> None:
-        """Cross an edge from the vertex the loop stands at."""
-        e = self.gog.graph.edge(ename)
-        self.add_edge(DirectedEdge(ename, to_black=(self.vertices[-1] == e.white)))
-
-    def walk(self, v: str, back: bool = False) -> None:
-        """Tree path basepoint -> v, or v -> basepoint when ``back``."""
-        path = self.gog.tree.path_from_basepoint(v)
-        for ename in reversed(path) if back else path:
-            self.cross(ename)
-
-    def visit(self, v: str, w: Word) -> None:
-        """Walk the tree to v, read w there and walk back."""
-        self.walk(v)
-        self.add_word(w)
-        self.walk(v, back=True)
-
-    def loop(self) -> LoopWord:
-        return LoopWord(
-            tuple(self.vertices), tuple(self.vertex_words), tuple(self.edges)
-        )
-
-
 def to_loop_word(gog: GraphOfGroups, w: Word) -> LoopWord:
     """Embed a natural-presentation word as a based loop."""
-    b = _LoopBuilder(gog)
-    g = gog.graph
+    g, parent = gog.graph, gog.tree.parent
+    vertices, vertex_words = [gog.basepoint], [EMPTY]
+    edges: list[DirectedEdge] = []
+
+    def cross(ename: str, there: str) -> None:
+        edges.append(DirectedEdge(ename, to_black=there in gog.sigma))
+        vertices.append(there)
+        vertex_words.append(EMPTY)
+
+    def walk(v: str, back: bool = False) -> None:
+        """Tree path basepoint -> v, or v -> basepoint when ``back``."""
+        path = []
+        while v != gog.basepoint:
+            p, ename = parent[v]
+            path.append((ename, p if back else v))
+            v = p
+        for ename, there in path if back else reversed(path):
+            cross(ename, there)
+
+    def visit(v: str, word: Word) -> None:
+        """Walk the tree to v, read word there and walk back."""
+        walk(v)
+        vertex_words[-1] = concat(vertex_words[-1], word)
+        walk(v, back=True)
+
     for name, exp in w:
         kind, _, rest = name.partition(".")
         if kind == "b":
             g.black(rest)
-            b.visit(rest, ((name, exp),))
+            visit(rest, ((name, exp),))
         elif kind == "y":
             v = rest.rpartition(".")[0]  # y.<white>.<i>
             g.white(v)
-            b.visit(v, ((name, exp),))
+            visit(v, ((name, exp),))
         elif kind == "c":
             e = g.edge(rest)
-            b.visit(e.white, power(gog.white_image(e.name), exp))
+            visit(e.white, power(gog.white_image(e.name), exp))
         elif kind == "t":
             e = g.edge(rest)
             if e.name in gog.tree.tree_edges:
@@ -239,9 +214,9 @@ def to_loop_word(gog: GraphOfGroups, w: Word) -> LoopWord:
             # t^+1 crosses from the white end to the black end, t^-1 back
             here, there = (e.white, e.black) if exp > 0 else (e.black, e.white)
             for _ in range(abs(exp)):
-                b.walk(here)
-                b.cross(e.name)
-                b.walk(there, back=True)
+                walk(here)
+                cross(e.name, there)
+                walk(there, back=True)
         else:
             raise UnknownGeneratorError(f"unknown generator {name!r}")
-    return b.loop()
+    return LoopWord(tuple(vertices), tuple(vertex_words), tuple(edges))

@@ -1,22 +1,26 @@
+import hashlib
+import random
+
 import pytest
 
 from stratisolve.errors import (
     InjectivityError,
-    InternalError,
     UnknownGeneratorError,
     UnknownVertexError,
 )
 from stratisolve.gog import (
     DirectedEdge,
     GraphOfGroups,
-    _LoopBuilder,
     build_white_handle,
     edge_group_order,
     to_loop_word,
 )
 from stratisolve.graph_model import canonical_tree, parse_graph
-from stratisolve.local_groups import TRIVIAL_HANDLE
+from stratisolve.local_groups import TRIVIAL_HANDLE, solve_congruence
+from stratisolve.pipeline import compile
 from stratisolve.presentation import natural_presentation, parse_word
+from stratisolve.serre_solver import solve
+from test_serre_solver import _disk_capped_chain
 
 Z3 = "white w1 genus 0\nblack b1\nedge e1 w1 b1 3\n"
 BS = "white w1 genus 0\nblack b1\nedge e1 w1 b1 1\nedge e2 w1 b1 2\n"
@@ -66,6 +70,16 @@ def test_edge_membership_black_side():
     assert gog.edge_membership("e2", "black", ()) == 0
     with pytest.raises(UnknownVertexError):
         gog.edge_membership("e3", "black", ())
+    # b^x lies in the image of <b^label> in the cyclic group of order sigma
+    # exactly when label*s = x (mod sigma) has a solution, the least s >= 0
+    for label in (*range(-6, 0), *range(1, 7)):
+        g = parse_graph("white w1 genus 1\nwhite w2 genus 1\nblack b1\n"
+                        f"edge e1 w1 b1 {label}\nedge e2 w2 b1 3\n")
+        for sigma in range(13):
+            gog = GraphOfGroups(g, canonical_tree(g), {"b1": sigma})
+            for x in range(-30, 31):
+                assert gog.edge_membership("e1", "black", (("b.b1", x),)) == \
+                    solve_congruence(label, x, sigma), (label, sigma, x)
 
 
 def test_edge_membership_white_side():
@@ -80,6 +94,9 @@ def test_transport():
     assert gog.transport("e1", "black", -1) == (("b.b1", -1),)
 
 
+PINNED_LOOPS = "8f6b00d8520e0d6a5d7b2edfadabedf5fe6dc04e03956e8beea8bcdd2daf0303"
+
+
 def check_loop(gog, lw):
     """Structural validity of a loop word: based at the basepoint, and each
     edge leaves the vertex the previous one reached."""
@@ -89,6 +106,28 @@ def check_loop(gog, lw):
         e = gog.graph.edge(de.edge)
         src, dst = (e.white, e.black) if de.to_black else (e.black, e.white)
         assert lw.vertices[i] == src and lw.vertices[i + 1] == dst
+
+
+def test_loops_and_verdicts_are_pinned(fixtures):
+    # every fixture generator at exponents 1, -2 and 3, and seeded random
+    # words on a chain; a change to the loop's shape changes the digest
+    cases = []
+    for g in fixtures.values():
+        c = compile(g)
+        cases += [(c, ((gen, exp),)) for gen in c.pres.generators
+                  for exp in (1, -2, 3)]
+    c = compile(_disk_capped_chain(8))
+    rng = random.Random(60)
+    gens = c.pres.generators
+    cases += [(c, tuple((rng.choice(gens), rng.choice((-2, -1, 1, 2)))
+                        for _ in range(rng.randint(1, 16))))
+              for _ in range(60)]
+    digest = hashlib.sha256()
+    for c, w in cases:
+        lw = to_loop_word(c.gog, w)
+        check_loop(c.gog, lw)
+        digest.update(repr((lw, solve(c.gog, lw))).encode())
+    assert digest.hexdigest() == PINNED_LOOPS
 
 
 def loop_of(text, sigma, word_text):
@@ -139,9 +178,3 @@ def test_boundary_generator_maps_to_white_image():
     from stratisolve.words import power
 
     assert lw.vertex_words[0] == power(gog.white_image("e2"), 2)
-
-
-def test_loop_builder_rejects_an_edge_that_does_not_start_here():
-    builder = _LoopBuilder(gog_for(Z3, {"b1": 3}))  # standing at w1
-    with pytest.raises(InternalError):
-        builder.add_edge(DirectedEdge("e1", to_black=False))
