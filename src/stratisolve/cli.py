@@ -43,7 +43,8 @@ EXIT_UNDETERMINED = 4
 
 
 class _UsageError(Exception):
-    """A usage error that argparse cannot see, such as a missing word."""
+    """A usage error that argparse cannot see, such as a missing word or an
+    unreadable graph file."""
 
 
 #: how ``run`` reports an error: the first row whose classes match gives the
@@ -73,8 +74,7 @@ def _load_graph(path: str):
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE) from None
+        raise _UsageError(f"cannot read {path}: {exc}") from None
     except UnicodeDecodeError as exc:
         raise GraphSyntaxError(
             f"{path} is not UTF-8: {exc.reason} at byte {exc.start}"

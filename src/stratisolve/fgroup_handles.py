@@ -33,7 +33,6 @@ factor decides.  Other targets raise ``NotImplementedError``.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
@@ -339,115 +338,72 @@ class WhiteGroupSpec(NamedTuple):
     surface_names: tuple[str, ...]
 
 
-class WhiteHandle:
+class WhiteHandle(NamedTuple):
     """A white vertex group (its handle, whose class is its kind) together
     with the read-only map from boundary generators to handle words."""
 
-    def __init__(
-        self, handle: FreeProductOfCyclics | AmalgamHandle | HNNHandle | TriangleHandle,
-        boundary_images: Mapping[str, Word],
-    ):
-        images = MappingProxyType(dict(boundary_images))
-        self.__dict__.update(handle=handle, boundary_images=images)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"WhiteHandle is immutable: cannot set {name!r}")
-
-    def __eq__(self, other):
-        return isinstance(other, WhiteHandle) and vars(self) == vars(other)
+    handle: FreeProductOfCyclics | AmalgamHandle | HNNHandle | TriangleHandle
+    boundary_images: Mapping[str, Word]
 
 
-@lru_cache(maxsize=256)
 def white_handle(spec: WhiteGroupSpec) -> WhiteHandle:
-    """The classified handle of a white vertex group.  Handles are never
-    changed once built, so one is shared by every classification of the
-    same spec: each validity round of the order engine and the graph of
-    groups.  The graph of groups rereads only the last round, and the 256
-    entries hold it while a round classifies at most 256 specs: on a
-    127-link chain (255 whites) the graph of groups hits on every white.
-    At 128 links (257 whites) the least recently used entry is always the
-    next one asked for, so the graph of groups misses on every white."""
-    images = {name: ((name, 1),) for name in spec.boundary_names}
-    q = genus_word(spec.surface_names, spec.genus)
-    curves = tuple(zip(spec.boundary_names, spec.boundary_orders))
-    c_word = tuple((name, 1) for name in spec.boundary_names)  # c_1...c_p
-
+    """The classified handle of a white vertex group."""
     # (1a) boundary curves of order 1 vanish
-    if any(k == 1 for k in spec.boundary_orders):
-        keep = [i for i, k in enumerate(spec.boundary_orders) if k != 1]
-        sub = WhiteGroupSpec(
-            tuple(spec.boundary_names[i] for i in keep),
-            tuple(spec.boundary_orders[i] for i in keep),
-            spec.genus,
-            spec.surface_names,
-        )
-        inner = white_handle(sub)
-        out = dict(inner.boundary_images)
-        for i, name in enumerate(spec.boundary_names):
-            if spec.boundary_orders[i] == 1:
-                out[name] = EMPTY
-        return WhiteHandle(inner.handle, out)
+    both = tuple(zip(spec.boundary_names, spec.boundary_orders))
+    curves = tuple((name, k) for name, k in both if k != 1)
+    names = tuple(name for name, _ in curves)
+    orders = tuple(k for _, k in curves)
+    images = {name: ((name, 1),) for name in names}
+    images.update((name, EMPTY) for name, k in both if k == 1)
+    c_word = tuple((name, 1) for name in names)  # c_1...c_p
+    ys = spec.surface_names
+    p, n, g = len(curves), len(ys), spec.genus
+    q = genus_word(ys, g)
 
-    # (1b) an undisked boundary curve is eliminated via the long relation
-    if 0 in spec.boundary_orders:
-        j = max(i for i, k in enumerate(spec.boundary_orders) if k == 0)
+    if 0 in orders:
+        # (1b) an undisked boundary curve is eliminated via the long relation
+        j = max(i for i, k in enumerate(orders) if k == 0)
         handle = FreeProductOfCyclics(
-            curves[:j] + curves[j + 1:] + tuple((y, 0) for y in spec.surface_names)
+            curves[:j] + curves[j + 1:] + tuple((y, 0) for y in ys)
         )
         # c_j = (c_1...c_{j-1})^-1 (c_{j+1}...c_p q)^-1
-        images[spec.boundary_names[j]] = concat(
+        images[names[j]] = concat(
             inverse(c_word[:j]), inverse(concat(c_word[j + 1:], q))
         )
-        return WhiteHandle(handle, images)
-
-    p, n, g = len(spec.boundary_names), len(spec.surface_names), spec.genus
-
-    if n >= 1 and p >= 2:
-        a = FreeProductOfCyclics(curves)
-        b = free_group(spec.surface_names)
-        z_b = inverse(q)
-        return WhiteHandle(AmalgamHandle(a, b, c_word, z_b), images)
-
-    if n >= 1:
-        # one boundary curve c, or none: a closed surface is the one-curve
-        # group with c of order 1, i.e. c dropped from every word below
-        ys = spec.surface_names
-        if g == -1:
-            # c y1^2 = 1: cyclic of order 2k on y1 (k = 1 when closed)
-            k = spec.boundary_orders[0] if p else 1
-            images.update({name: ((ys[0], -2),) for name in spec.boundary_names})
-            return WhiteHandle(cyclic_group(ys[0], 2 * k), images)
+    elif n >= 1 and p >= 2:
+        handle = AmalgamHandle(
+            FreeProductOfCyclics(curves), free_group(ys), c_word, inverse(q)
+        )
+    # n >= 1 below: one boundary curve c, or none: a closed surface is the
+    # one-curve group with c of order 1, i.e. c dropped from every word
+    elif n >= 1 and g == -1:
+        # c y1^2 = 1: cyclic of order 2k on y1 (k = 1 when closed)
+        handle = cyclic_group(ys[0], 2 * (orders[0] if p else 1))
+        images.update((name, ((ys[0], -2),)) for name in names)
+    elif n >= 1 and g > 0:
+        # relation c [y1,y2]...[y_{2g-1},y_{2g}] = 1 becomes the HNN
+        # relation y_{2g}^-1 (P y_{2g-1}) y_{2g} = y_{2g-1}
         base = FreeProductOfCyclics(curves + tuple((y, 0) for y in ys[:-1]))
-        if g > 0:
-            # relation c [y1,y2]...[y_{2g-1},y_{2g}] = 1 becomes the HNN
-            # relation y_{2g}^-1 (P y_{2g-1}) y_{2g} = y_{2g-1}
-            u = concat(c_word, genus_word(ys[:-2], g - 1), ((ys[-2], 1),))
-            v = ((ys[-2], 1),)
-            return WhiteHandle(HNNHandle(base, ys[-1], u, v), images)
+        u = concat(c_word, genus_word(ys[:-2], g - 1), ((ys[-2], 1),))
+        handle = HNNHandle(base, ys[-1], u, ((ys[-2], 1),))
+    elif n >= 1:
         # g <= -2: split off the last surface letter, c y1^2...y_{m-1}^2 = y_m^-2
+        base = FreeProductOfCyclics(curves + tuple((y, 0) for y in ys[:-1]))
         z_a = concat(c_word, genus_word(ys[:-1], g + 1))
-        z_b = ((ys[-1], -2),)
-        handle = AmalgamHandle(base, cyclic_group(ys[-1], 0), z_a, z_b)
-        return WhiteHandle(handle, images)
-
-    # n == 0, genus 0: polygon cases
-    if p == 0:
-        return WhiteHandle(TRIVIAL_HANDLE, images)
-    if p == 1:
-        images[spec.boundary_names[0]] = EMPTY
-        return WhiteHandle(TRIVIAL_HANDLE, images)
-    if p == 2:
-        c1, c2 = spec.boundary_names
-        k1, k2 = spec.boundary_orders
-        d = gcd(k1, k2)
-        handle = cyclic_group(c1, d)
-        images[c2] = ((c1, -1),)
-        return WhiteHandle(handle, images)
-    if p == 3:
-        handle = TriangleHandle(spec.boundary_names, spec.boundary_orders)
-        return WhiteHandle(handle, images)
-    # p >= 4: split {c1, c2} | {c3..cp} over z = (c1 c2)^-1 = c3...cp
-    a = FreeProductOfCyclics(curves[:2])
-    b = FreeProductOfCyclics(curves[2:])
-    handle = AmalgamHandle(a, b, inverse(c_word[:2]), c_word[2:])
-    return WhiteHandle(handle, images)
+        handle = AmalgamHandle(base, cyclic_group(ys[-1], 0), z_a, ((ys[-1], -2),))
+    # n == 0, genus 0 below: polygon cases
+    elif p <= 1:
+        handle = TRIVIAL_HANDLE
+        images.update((name, EMPTY) for name in names)
+    elif p == 2:
+        handle = cyclic_group(names[0], gcd(*orders))
+        images[names[1]] = ((names[0], -1),)
+    elif p == 3:
+        handle = TriangleHandle(names, orders)
+    else:
+        # p >= 4: split {c1, c2} | {c3..cp} over z = (c1 c2)^-1 = c3...cp
+        handle = AmalgamHandle(
+            FreeProductOfCyclics(curves[:2]), FreeProductOfCyclics(curves[2:]),
+            inverse(c_word[:2]), c_word[2:],
+        )
+    return WhiteHandle(handle, MappingProxyType(images))

@@ -77,7 +77,8 @@ class StratifoldGraph:
 
     @cached_property
     def _edge_index(self) -> dict[str, Edge]:
-        # built on the first edge lookup: splicing looks an edge up per test
+        # built on the first edge lookup: to_loop_word looks up the edge of
+        # each c and t letter, normalize_orientations each flipped tree edge
         return {e.name: e for e in self.edges}
 
     def edge(self, name: str) -> Edge:
@@ -198,15 +199,6 @@ class MaximalTree(NamedTuple):
     def __hash__(self):
         # the parent dict is unhashable and follows from the other two
         return hash((self.basepoint, self.tree_edges))
-
-    def path_from_basepoint(self, v: str) -> tuple[str, ...]:
-        """Edge names along the tree path basepoint -> v."""
-        rev = []
-        while v != self.basepoint:
-            p, e = self.parent[v]
-            rev.append(e)
-            v = p
-        return tuple(reversed(rev))
 
 
 def breadth_first(vertices, edges, roots) -> dict[str, tuple[str, str] | None]:

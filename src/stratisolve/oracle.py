@@ -29,7 +29,6 @@ from .words import (
     Word,
     concat,
     free_reduce,
-    from_letters,
     inverse,
     letters,
     power,
@@ -127,7 +126,7 @@ def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET):
         return tuple(out)
 
     def decode(ls: tuple[int, ...]) -> Word:
-        return from_letters((names[abs(x)], 1 if x > 0 else -1) for x in ls)
+        return free_reduce((names[abs(x)], 1 if x > 0 else -1) for x in ls)
 
     rels = [
         (idx, sign, encode(power(r, sign)))
@@ -265,19 +264,23 @@ class CosetTable(NamedTuple):
         return 2 * g if exp_sign > 0 else 2 * g + 1
 
 
+def _relator_columns(p: Presentation) -> tuple[dict[str, int], list[list[int]]]:
+    """The coset-table column of each generator (2i for generator i, 2i+1
+    for its inverse) and each nonempty relator as its list of columns."""
+    col = {g: 2 * i for i, g in enumerate(p.generators)}
+    rel_paths = [
+        [col[name] if e > 0 else col[name] + 1 for name, e in letters(r)]
+        for r in p.relators
+        if r != EMPTY
+    ]
+    return col, rel_paths
+
+
 def todd_coxeter(p: Presentation, max_cosets: int = 100000) -> CosetTable:
     """HLT coset enumeration of the trivial subgroup."""
     gens = p.generators
     ncols = 2 * len(gens)
-    col = {g: 2 * i for i, g in enumerate(gens)}
-    rel_paths = [
-        [
-            (col[name] if e > 0 else col[name] + 1)
-            for name, e in letters(r)
-        ]
-        for r in p.relators
-        if r != EMPTY
-    ]
+    _, rel_paths = _relator_columns(p)
 
     table: list[list[int | None]] = [[None] * ncols]
     rep = list(range(1))
@@ -491,12 +494,7 @@ def _transitive_actions(p: Presentation, n: int, limit: int):
         return []
     gens = p.generators
     ncols = 2 * len(gens)
-    col = {g: 2 * i for i, g in enumerate(gens)}
-    rel_paths = [
-        [(col[name] if e > 0 else col[name] + 1) for name, e in letters(r)]
-        for r in p.relators
-        if r != EMPTY
-    ]
+    col, rel_paths = _relator_columns(p)
     table = [[-1] * ncols for _ in range(n)]
     results: list[QuotientHom] = []
 

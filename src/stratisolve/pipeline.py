@@ -7,9 +7,9 @@ are cheap and every command needs them) and the last two on first use, so
 commands that only present the group, or that reject a malformed word,
 never pay for the order search.  ``compile`` memoizes whole pipelines
 (256 entries): resolution is deterministic in (graph, budget) and the
-certificate search dominates the cost of the pipeline.  Below it,
-``fgroup_handles.white_handle`` (256 entries) and the exact-field
-``cyclotomic_polynomial`` and ``minimal_polynomial`` are memoized too.
+certificate search dominates the cost of the pipeline.  Below it, the
+exact-field ``cyclotomic_polynomial`` and ``minimal_polynomial`` are
+memoized too.
 """
 
 from __future__ import annotations

@@ -64,11 +64,6 @@ def genus_word(names: Sequence[str], genus: int) -> Word:
     ))
 
 
-def word_length(w: Iterable[Pair]) -> int:
-    """Number of letters, counting multiplicity."""
-    return sum(abs(exp) for _, exp in w)
-
-
 def letters(w: Iterable[Pair]) -> Tuple[Pair, ...]:
     """Flatten to single-letter pairs (name, +-1)."""
     out: list[Pair] = []
@@ -76,7 +71,3 @@ def letters(w: Iterable[Pair]) -> Tuple[Pair, ...]:
         step = 1 if exp > 0 else -1
         out.extend((name, step) for _ in range(abs(exp)))
     return tuple(out)
-
-
-def from_letters(ls: Iterable[Pair]) -> Word:
-    return free_reduce(ls)

@@ -237,10 +237,11 @@ def test_exit_codes(fx, tmp_path, capsys):
     with pytest.raises(SystemExit) as exc:
         run([])
     assert exc.value.code == 1  # usage
+    capsys.readouterr()
 
-    with pytest.raises(SystemExit) as exc:
-        run(["validate", str(tmp_path / "missing")])
-    assert exc.value.code == 1
+    missing = tmp_path / "missing"
+    assert run(["validate", str(missing)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: cannot read {missing}: ")
 
 
 def test_order_checks_black_name_before_order_search(fx, capsys, monkeypatch):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from math import lcm
 
@@ -298,6 +299,27 @@ def test_order_one_boundaries_vanish():
     wh = white_handle(spec([1, 3], 0, 0))
     assert wh.boundary_images["c1"] == ()
     assert wh.handle.wp(wh.boundary_images["c1"])
+
+
+@pytest.mark.parametrize("genus, n_surface", [(-2, 2), (-1, 1), (0, 0), (1, 2), (2, 4)])
+def test_order_one_curves_fold_away(genus, n_surface):
+    """A spec classifies as the spec without its order-1 curves (same handle
+    class, letters and images), each stripped curve mapping to the empty
+    word."""
+    grid = itertools.chain.from_iterable(
+        itertools.product((0, 1, 2, 3, 5), repeat=p) for p in range(1, 5)
+    )
+    for orders in (o for o in grid if 1 in o):
+        full = spec(orders, genus, n_surface)
+        curves = list(zip(full.boundary_names, orders))
+        kept = [(name, k) for name, k in curves if k != 1]
+        sub = WhiteGroupSpec(tuple(name for name, _ in kept),
+                             tuple(k for _, k in kept), genus, full.surface_names)
+        wh, wh_sub = white_handle(full), white_handle(sub)
+        assert type(wh.handle) is type(wh_sub.handle), orders
+        assert wh.handle.letters == wh_sub.handle.letters, orders
+        stripped = {name: () for name, k in curves if k == 1}
+        assert dict(wh.boundary_images) == {**wh_sub.boundary_images, **stripped}, orders
 
 
 def test_infinite_boundary_eliminated():

@@ -104,7 +104,7 @@ def test_canonical_tree_deterministic():
     t1, t2 = canonical_tree(g), canonical_tree(g)
     assert t1.basepoint == "w1"
     assert t1.tree_edges == t2.tree_edges == frozenset({"e1"})
-    assert t1.path_from_basepoint("b1") == ("e1",)
+    assert t1.parent["b1"] == ("w1", "e1")
 
 
 def test_normalize_orientations_flips_tree_edges_only():

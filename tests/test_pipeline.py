@@ -9,9 +9,7 @@ from stratisolve import pipeline
 from stratisolve.cli import run
 from stratisolve.decisions import is_abelian
 from stratisolve.errors import WordSyntaxError
-from stratisolve.fgroup_handles import TriangleHandle, white_handle
 from stratisolve.gog import GraphOfGroups
-from stratisolve.graph_model import parse_graph
 from stratisolve.oracle import DEFAULT_BUDGET, Budget
 from stratisolve.order_engine import resolve_orders
 from stratisolve.pipeline import compile
@@ -88,49 +86,6 @@ def test_graph_of_groups_built_once_per_graph_and_budget(fixtures, gog_builds):
     assert len(gog_builds) == 2
     word_problem(g7, "c.e1", Budget.parse("5,64"))
     assert len(gog_builds) == 3
-
-
-def test_fixpoint_and_graph_of_groups_share_white_handles(fixtures, monkeypatch):
-    """The order engine's last validity round and the graph of groups
-    classify the same whites under the same sigma: the (2,3,7) reflection
-    matrices are built once."""
-    monkeypatch.setattr(
-        pipeline, "_compile", lru_cache(maxsize=256)(pipeline.CompiledStratifold)
-    )
-    white_handle.cache_clear()
-    builds = []
-    original = TriangleHandle.__init__
-
-    def counting(self, names, orders):
-        builds.append(orders)
-        original(self, names, orders)
-
-    monkeypatch.setattr(TriangleHandle, "__init__", counting)
-    c = compile(fixtures["FX-TRI(2,3,7)"])
-    assert c.orders.status == "exact"
-    assert isinstance(c.gog.white_handles["w0"].handle, TriangleHandle)
-    assert builds == [(2, 3, 7)]
-
-
-def test_white_handle_cache_holds_a_64_link_chain(monkeypatch):
-    """The graph of groups of a 64-link chain (129 whites, 65 of genus 1
-    and 64 disk caps) reuses every handle of the last validity round."""
-    monkeypatch.setattr(
-        pipeline, "_compile", lru_cache(maxsize=256)(pipeline.CompiledStratifold)
-    )
-    links = 64
-    lines = [f"white w{i} genus 1" for i in range(links + 1)]
-    lines += [f"white d{i} genus 0" for i in range(1, links + 1)]
-    lines += [f"black b{i}" for i in range(1, links + 1)]
-    for i in range(1, links + 1):
-        lines += [f"edge l{i} w{i - 1} b{i} 1", f"edge r{i} w{i} b{i} 1",
-                  f"edge k{i} d{i} b{i} 2"]
-    white_handle.cache_clear()
-    c = compile(parse_graph("\n".join(lines) + "\n"))
-    assert c.orders.status == "exact"
-    built = white_handle.cache_info().misses
-    assert len(c.gog.white_handles) == 2 * links + 1
-    assert white_handle.cache_info().misses == built
 
 
 def test_shared_orders_are_read_only(fixtures):

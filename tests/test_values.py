@@ -2,7 +2,7 @@
 
 Every record is immutable, and two records built from equal fields are
 equal; those that were ever hashable also hash equal, so the memos keyed on
-graphs, budgets and white-group specs keep answering for equal keys.
+graphs and budgets keep answering for equal keys.
 """
 
 import pytest
@@ -84,12 +84,6 @@ def test_maximal_tree_hash_ignores_the_parent_map():
     a = MaximalTree("w1", frozenset({"e1"}), {"b1": ("w1", "e1")})
     b = MaximalTree("w1", frozenset({"e1"}), dict(a.parent))
     assert a == b and hash(a) == hash(b)
-
-
-def test_equal_specs_share_one_white_handle():
-    spec = WhiteGroupSpec(("c.e1", "c.e2", "c.e3"), (2, 3, 7), 0, ())
-    again = WhiteGroupSpec(tuple(spec.boundary_names), (2, 3, 7), 0, ())
-    assert white_handle(spec) is white_handle(again)
 
 
 def test_an_equal_budget_finds_the_same_compiled_pipeline(fixtures):
