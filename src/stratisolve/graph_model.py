@@ -51,6 +51,14 @@ class StratifoldGraph:
                              blacks=tuple(sorted(blacks)), edges=tuple(sorted(edges)))
         _validate(self)
 
+    @classmethod
+    def _sorted_and_valid(cls, whites, blacks, edges) -> "StratifoldGraph":
+        """A graph from tuples known to be in name order and to pass
+        ``_validate``, which is not run again."""
+        g = object.__new__(cls)
+        g.__dict__.update(whites=whites, blacks=blacks, edges=edges)
+        return g
+
     def __setattr__(self, name, value):
         raise AttributeError(f"StratifoldGraph is immutable: cannot set {name!r}")
 
@@ -78,7 +86,7 @@ class StratifoldGraph:
     @cached_property
     def _edge_index(self) -> dict[str, Edge]:
         # built on the first edge lookup: to_loop_word looks up the edge of
-        # each c and t letter, normalize_orientations each flipped tree edge
+        # each c and t letter
         return {e.name: e for e in self.edges}
 
     def edge(self, name: str) -> Edge:
@@ -242,10 +250,17 @@ def normalize_orientations(
 ) -> tuple[StratifoldGraph, tuple[str, ...]]:
     """Make every tree-edge label positive; non-tree labels are untouched.
 
-    Returns the normalized graph and the names of the flipped edges.
+    Returns the normalized graph (``g`` itself when nothing flips) and the
+    names of the flipped edges.  A sign flip keeps every name, the order of
+    the edges (sorted by name first), each |label| and the connectivity, so
+    the flipped graph passes validation as ``g`` did and is not validated
+    again.
     """
     flips = tuple(
         e.name for e in g.edges if e.name in t.tree_edges and e.label < 0
     )
-    new_labels = {name: abs(g.edge(name).label) for name in flips}
-    return g.replace_labels(new_labels), flips
+    if not flips:
+        return g, flips
+    edges = tuple(e._replace(label=-e.label) if e.name in flips else e
+                  for e in g.edges)
+    return StratifoldGraph._sorted_and_valid(g.whites, g.blacks, edges), flips

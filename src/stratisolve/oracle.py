@@ -7,7 +7,8 @@ cross-check it:
   a word to the empty word using only defining relators.  Successful
   searches return a replayable :class:`Derivation`.  The order engine and
   the CLI reach it through ``derive_if_h1_trivial``, which runs no search
-  that H1 refutes.
+  that H1 refutes; the order engine encodes the relators once
+  (``encode_relators``) for all the searches of one resolution.
 * ``todd_coxeter``: HLT-style coset enumeration over the trivial subgroup.
 * ``cayley_wp``: evaluate a word on a completed coset table.
 * ``finite_quotient_search``: backtracking enumeration of transitive
@@ -18,7 +19,6 @@ cross-check it:
 from __future__ import annotations
 
 import heapq
-from itertools import count
 from math import gcd
 from typing import NamedTuple
 
@@ -97,101 +97,145 @@ def replay_derivation(p: Presentation, d: Derivation) -> bool:
     return acc == EMPTY
 
 
-def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET):
+class RelatorCodes(NamedTuple):
+    """The relators of a presentation as ``derive_trivial`` reads them.
+
+    A letter is a signed code: generator number c (from 1) or its inverse
+    -c.  Each entry of ``relators`` is one relator or its inverse: (codes,
+    length, negated first code, negated last code, relator index, sign)."""
+
+    names: tuple[str, ...]  # code -> generator name; code 0 is unused
+    codes: dict[str, int]
+    relators: tuple[tuple[tuple[int, ...], int, int, int, int, int], ...]
+
+    def encode(self, word: Word) -> tuple[int, ...]:
+        out: list[int] = []
+        for name, exp in word:
+            code = self.codes[name]
+            out.extend([code if exp > 0 else -code] * abs(exp))
+        return tuple(out)
+
+    def decode(self, ls: tuple[int, ...]) -> Word:
+        return free_reduce((self.names[abs(x)], 1 if x > 0 else -1) for x in ls)
+
+
+def encode_relators(p: Presentation) -> RelatorCodes:
+    """Number the generators and encode each relator and its inverse,
+    freely reduced as ``power`` gives them to ``apply_step``."""
+    names = ("", *p.generators)
+    enc = RelatorCodes(names, {name: c for c, name in enumerate(names) if c}, ())
+    rels = []
+    for idx, r in enumerate(p.relators):
+        rel = enc.encode(free_reduce(r))
+        if not rel:
+            continue  # inserting it would change no state
+        inv = tuple(-x for x in reversed(rel))
+        rels.append((rel, len(rel), -rel[0], -rel[-1], idx, 1))
+        rels.append((inv, len(inv), -inv[0], -inv[-1], idx, -1))
+    return enc._replace(relators=tuple(rels))
+
+
+def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET,
+                   relator_codes: RelatorCodes | None = None):
     """Best-first search for a derivation of w to the empty word.
 
     States are freely reduced words; moves insert a relator (or its
     inverse) at any letter position.  Priority is (length, insertions) so
     short certificates are found first.  Returns a Derivation or None.
+    ``relator_codes`` is ``encode_relators(p)``, for a caller that runs
+    many searches on one presentation; it is made here when not given.
 
     A state is held as its tuple of letters, each letter a signed generator
     code, which is unique per freely reduced word.  The two parts of a
     state on either side of an insertion are already reduced, so a move
-    cancels only across the two seams prefix|relator and relator|suffix.
+    cancels only across the two seams prefix|relator and relator|suffix,
+    and an insertion whose seams cannot cancel just concatenates.  A queued
+    state keeps only a back-link to the state it came from and its move;
+    the steps of a derivation, with their conjugators, are built only for
+    the one that reaches the empty word.
     """
     start = free_reduce(w)
     if start == EMPTY:
         return Derivation(start, ())
-    names: list[str] = [""]
-    codes: dict[str, int] = {}
+    enc = relator_codes if relator_codes is not None else encode_relators(p)
+    rels = enc.relators
 
-    def encode(word: Word) -> tuple[int, ...]:
-        out: list[int] = []
-        for name, exp in word:
-            code = codes.get(name)
-            if code is None:
-                code = codes[name] = len(names)
-                names.append(name)
-            out.extend([code if exp > 0 else -code] * abs(exp))
-        return tuple(out)
+    def derivation(link) -> Derivation:
+        steps = []
+        while link is not None:
+            link, state, pos, idx, sign = link
+            steps.append(DerivStep(enc.decode(state[pos:]), idx, sign))
+        return Derivation(start, tuple(reversed(steps)))
 
-    def decode(ls: tuple[int, ...]) -> Word:
-        return free_reduce((names[abs(x)], 1 if x > 0 else -1) for x in ls)
-
-    rels = [
-        (idx, sign, encode(power(r, sign)))
-        for idx, r in enumerate(p.relators)
-        if r != EMPTY
-        for sign in (1, -1)
-    ]
-    init = encode(start)
-    tick = count()
-    heap = [(len(init), 0, next(tick), init, ())]
+    init = enc.encode(start)
+    max_length = budget.max_length
+    push = heapq.heappush
+    # (size, insertions, tick, state, back-link); a back-link is (the
+    # parent's back-link, parent state, position, relator index, sign)
+    tick = 0
+    heap = [(len(init), 0, tick, init, None)]
     best: dict[tuple[int, ...], int] = {init: 0}
+    seen = best.get
     expansions = 0
     while heap and expansions < budget.max_expansions:
-        _, ins, _, cur, steps = heapq.heappop(heap)
-        if best.get(cur, budget.insertions + 1) < ins:
+        _, ins, _, cur, link = heapq.heappop(heap)
+        if seen(cur, budget.insertions + 1) < ins:
             continue
         expansions += 1
         if ins >= budget.insertions:
             continue
+        child = ins + 1
         n = len(cur)
         for pos in range(n + 1):
-            suffix = None  # the conjugator, built on first use
-            for idx, sign, rel in rels:
-                lr = len(rel)
-                # prefix|relator: cur[pos-k:pos] cancels rel[:k]
-                k = 0
-                while k < pos and k < lr and cur[pos - 1 - k] == -rel[k]:
-                    k += 1
-                # relator|suffix: rel[lr-j:] cancels cur[pos:pos+j]; once
-                # the relator is used up, cur[pos-k-i:pos-k] cancels
-                # cur[pos+j:pos+j+i]
-                j = 0
-                while (k + j < lr and pos + j < n
-                       and rel[lr - 1 - j] == -cur[pos + j]):
-                    j += 1
-                i = 0
-                if k + j == lr:
-                    while (i < pos - k and pos + j + i < n
-                           and cur[pos - k - 1 - i] == -cur[pos + j + i]):
-                        i += 1
-                size = n + lr - 2 * (k + j + i)
-                if size and size > budget.max_length:
+            left = cur[pos - 1] if pos else 0
+            right = cur[pos] if pos < n else 0
+            head, tail = cur[:pos], cur[pos:]
+            for rel, lr, neg_first, neg_last, idx, sign in rels:
+                if left != neg_first and right != neg_last:
+                    # neither seam cancels
+                    size = n + lr
+                    if size > max_length:
+                        continue
+                    nxt = head + rel + tail
+                else:
+                    # prefix|relator: cur[pos-k:pos] cancels rel[:k]
+                    k = 0
+                    while k < pos and k < lr and cur[pos - 1 - k] == -rel[k]:
+                        k += 1
+                    # relator|suffix: rel[lr-j:] cancels cur[pos:pos+j];
+                    # once the relator is used up, cur[pos-k-i:pos-k]
+                    # cancels cur[pos+j:pos+j+i]
+                    j = 0
+                    while (k + j < lr and pos + j < n
+                           and rel[lr - 1 - j] == -cur[pos + j]):
+                        j += 1
+                    i = 0
+                    if k + j == lr:
+                        while (i < pos - k and pos + j + i < n
+                               and cur[pos - k - 1 - i] == -cur[pos + j + i]):
+                            i += 1
+                    size = n + lr - 2 * (k + j + i)
+                    if not size:
+                        return derivation((link, cur, pos, idx, sign))
+                    if size > max_length:
+                        continue
+                    nxt = cur[:pos - k - i] + rel[k:lr - j] + cur[pos + j + i:]
+                if seen(nxt, child + 1) <= child:
                     continue
-                if suffix is None:
-                    suffix = decode(cur[pos:])
-                step = DerivStep(suffix, idx, sign)
-                if not size:
-                    return Derivation(start, steps + (step,))
-                nxt = cur[:pos - k - i] + rel[k:lr - j] + cur[pos + j + i:]
-                if best.get(nxt, ins + 2) <= ins + 1:
-                    continue
-                best[nxt] = ins + 1
-                heapq.heappush(
-                    heap, (size, ins + 1, next(tick), nxt, steps + (step,))
-                )
+                best[nxt] = child
+                tick += 1
+                push(heap, (size, child, tick, nxt, (link, cur, pos, idx, sign)))
     return None
 
 
-def derive_if_h1_trivial(ab: Abelianization, w: Word, budget: Budget):
+def derive_if_h1_trivial(ab: Abelianization, w: Word, budget: Budget,
+                         relator_codes: RelatorCodes | None = None):
     """``derive_trivial`` behind the H1 screen: G -> H1 is a homomorphism,
     so a word whose image in H1 is nontrivial has no derivation, and None
     comes back without a search."""
     if ab.order(w) != 1:
         return None
-    return derive_trivial(ab.presentation, w, budget)
+    return derive_trivial(ab.presentation, w, budget, relator_codes)
 
 
 # -- derivation algebra ----------------------------------------------------

@@ -63,7 +63,13 @@ from typing import Mapping, NamedTuple
 from .errors import UndeterminedError
 from .gog import boundary_mismatches, build_white_handle
 from .graph_model import StratifoldGraph
-from .oracle import Budget, Derivation, derivation_gcd, derive_if_h1_trivial
+from .oracle import (
+    Budget,
+    Derivation,
+    derivation_gcd,
+    derive_if_h1_trivial,
+    encode_relators,
+)
 from .presentation import Presentation, abelianization
 
 
@@ -123,9 +129,12 @@ def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
     def sigma() -> dict[str, int]:
         return {b: best[b][0] if b in best else 0 for b in g.black_names()}
 
+    violations = validity_check(g, sigma())
+    # one encoding of the relators serves every search; with no violation
+    # in the first round nothing is searched
+    relator_codes = encode_relators(pres) if violations else None
     # fixpoint: each accepted violation strictly shrinks some sigma by a
     # proper divisor, so iterations are bounded by sum(log2(sigma))
-    violations = validity_check(g, sigma())
     for _ in range(64):
         if not violations:
             break
@@ -135,7 +144,7 @@ def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
             if cur and exp % cur[0] == 0:
                 continue  # already certified
             letter = f"b.{black}"
-            d = derive_if_h1_trivial(ab, ((letter, exp),), budget)
+            d = derive_if_h1_trivial(ab, ((letter, exp),), budget, relator_codes)
             if d is None:
                 unresolved.add(black)
                 continue

@@ -14,13 +14,19 @@ Relators, one per white vertex, one per tree edge and one per non-tree edge:
   b^m . c^-1               for a tree edge with label m >= 1
   t^-1 . c . t . b^-m      for a non-tree edge with label m
 
-Its abelianization H1 (a Smith normal form, Holt-Eick-O'Brien) answers one
-question, the order of a word's image (``Abelianization.order``), which
-``oracle.derive_if_h1_trivial`` uses to skip searches that H1 refutes.
+Its abelianization H1 answers one question, the order of a word's image
+(``Abelianization.order``), which ``oracle.derive_if_h1_trivial`` uses to
+skip searches that H1 refutes.  H1 is computed as Havas-Holt-Rees
+("Recognizing badly presented Z-modules", 1993) and Holt-Eick-O'Brien
+describe: most relators have a generator of exponent sum +-1 (each tree-edge
+relator its ``c``, each disk relator its only curve), so those generators
+are eliminated first, sparsely, and a Smith normal form is taken only of
+the block that is left, which is empty on a disk-capped chain.
 """
 
 from __future__ import annotations
 
+import heapq
 import re
 from math import gcd, lcm
 from typing import NamedTuple
@@ -128,28 +134,51 @@ def format_word(w: Word) -> str:
 # -- abelianization -------------------------------------------------------------
 
 class Abelianization(NamedTuple):
-    """H1 as D = U A V: a word with exponent-sum vector x has coordinates
-    u = x V, u_j in Z/d_j (in Z where d_j = 0 or j is past the diagonal)."""
+    """H1 as the relation matrix after unit-pivot elimination.
+
+    Each substitution ``(i, ((j, a), ...))`` records that generator i is
+    sum a * generator j in H1: it was read off a relator in which i had
+    coefficient +-1, and every j in it is eliminated later or survives.
+    A survivor in no relation left (``free``) spans a Z summand.  The rest
+    (``columns``) span the block that is left, and its Smith form
+    D = U B V gives the others: a vector x over them has coordinates
+    u = x V, u_j in Z/d_j (in Z where d_j = 0 or j is past the diagonal).
+    Generators are named by their index in the presentation."""
 
     presentation: Presentation
+    substitutions: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
+    free: tuple[int, ...]
+    columns: tuple[int, ...]
     diagonal: tuple[int, ...]
     colbasis: tuple[tuple[int, ...], ...]  # V, columns operated
 
     def free_rank(self) -> int:
-        n = len(self.presentation.generators)
-        nonzero = sum(1 for d in self.diagonal if d != 0)
-        return n - nonzero
+        return len(self.free) + len(self.columns) - sum(1 for d in self.diagonal if d)
 
     def torsion(self) -> tuple[int, ...]:
         return tuple(d for d in self.diagonal if d > 1)
 
     def order(self, w: Word) -> int:
-        """Order of the image of w in H1 (0 = infinite, 1 = trivial), read
-        from one row of V per letter of w."""
-        p = self.presentation
-        u = [0] * len(p.generators)
+        """Order of the image of w in H1 (0 = infinite, 1 = trivial): the
+        substitutions, in elimination order, move w's exponent sums onto
+        the survivors, whose rows of V then give its coordinates."""
+        gens = self.presentation.generators
+        index = {g: i for i, g in enumerate(gens)}
+        x = [0] * len(gens)
         for name, exp in w:
-            u = [a + exp * x for a, x in zip(u, self.colbasis[p.index(name)])]
+            x[index[name]] += exp
+        for i, terms in self.substitutions:
+            e = x[i]
+            if e:
+                x[i] = 0
+                for j, a in terms:
+                    x[j] += e * a
+        if any(x[i] for i in self.free):
+            return 0
+        u = [0] * len(self.columns)
+        for i, row in zip(self.columns, self.colbasis):
+            if x[i]:
+                u = [a + x[i] * v for a, v in zip(u, row)]
         order = 1
         for j, uj in enumerate(u):
             d = self.diagonal[j] if j < len(self.diagonal) else 0
@@ -161,12 +190,72 @@ class Abelianization(NamedTuple):
 
 
 def abelianization(p: Presentation) -> Abelianization:
-    n = len(p.generators)
-    rows = []
-    for rel in p.relators:
-        row = [0] * n
+    """Eliminate the generators that have a +-1 coefficient in some
+    relator, cheapest pivot first (Markowitz fill), then take the Smith
+    form of what is left (Havas-Holt-Rees)."""
+    index = {g: i for i, g in enumerate(p.generators)}
+    rows: dict[int, dict[int, int]] = {}  # relator -> generator -> exponent sum
+    at: dict[int, set[int]] = {i: set() for i in range(len(p.generators))}
+    for r, rel in enumerate(p.relators):
+        row: dict[int, int] = {}
         for name, exp in rel:
-            row[p.index(name)] += exp
-        rows.append(row)
-    diag, v = smith_normal_form(rows, n)
-    return Abelianization(p, tuple(diag), tuple(tuple(r) for r in v))
+            i = index[name]
+            row[i] = row.get(i, 0) + exp
+            if not row[i]:
+                del row[i]
+        if row:
+            rows[r] = row
+            for i in row:
+                at[i].add(r)
+
+    def fill(r: int, i: int) -> int:
+        return (len(rows[r]) - 1) * (len(at[i]) - 1)
+
+    pivots = [(fill(r, i), r, i) for r, row in rows.items()
+              for i, a in row.items() if a in (1, -1)]
+    heapq.heapify(pivots)
+    substitutions = []
+    while pivots:
+        cost, r, i = heapq.heappop(pivots)
+        if r not in rows or rows[r].get(i) not in (1, -1):
+            continue
+        if fill(r, i) > cost:  # the rows around it grew: queue it again
+            heapq.heappush(pivots, (fill(r, i), r, i))
+            continue
+        pivot = rows.pop(r)
+        a = pivot.pop(i)
+        for j in pivot:
+            at[j].discard(r)
+        # generator i = -a * (the rest of the pivot row), a = +-1
+        substitutions.append((i, tuple((j, -a * c) for j, c in pivot.items())))
+        others = at.pop(i)
+        others.discard(r)
+        for s in sorted(others):
+            row = rows[s]
+            f = row.pop(i) * a
+            for j, c in pivot.items():
+                v = row.get(j, 0) - f * c
+                if v:
+                    row[j] = v
+                    at[j].add(s)
+                else:
+                    row.pop(j, None)
+                    at[j].discard(s)
+            if not row:
+                del rows[s]
+                continue
+            for j, v in row.items():
+                if v in (1, -1):
+                    heapq.heappush(pivots, (fill(s, j), s, j))
+    free = tuple(i for i in sorted(at) if not at[i])
+    columns = tuple(i for i in sorted(at) if at[i])
+    position = {i: k for k, i in enumerate(columns)}
+    block = []
+    for row in rows.values():
+        dense = [0] * len(columns)
+        for i, v in row.items():
+            dense[position[i]] = v
+        block.append(dense)
+    diag, v = smith_normal_form(block, len(columns))
+    return Abelianization(p, tuple(substitutions), free, columns, tuple(diag),
+                          tuple(tuple(r) for r in v))

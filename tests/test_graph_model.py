@@ -116,3 +116,12 @@ def test_normalize_orientations_flips_tree_edges_only():
     assert flips == ("e1",)
     assert g2.edge("e1").label == 1
     assert g2.edge("e2").label == -2  # non-tree labels keep their sign
+    # the flipped graph is the one validation would have built
+    assert g2 == g.replace_labels({"e1": 1})
+    assert hash(g2) == hash(g.replace_labels({"e1": 1}))
+
+
+def test_normalize_orientations_keeps_a_graph_without_flips():
+    g = parse_graph(BS)
+    g2, flips = normalize_orientations(g, canonical_tree(g))
+    assert g2 is g and flips == ()

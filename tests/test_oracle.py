@@ -1,10 +1,16 @@
-import pytest
+import hashlib
+import random
 
+import pytest
+from test_acceptance import _random_valid_graph
+
+from stratisolve import FIXTURE_NAMES, load_fixture
 from stratisolve.errors import IncompleteTableError
 from stratisolve.graph_model import canonical_tree
 from stratisolve.oracle import (
     Budget,
     Derivation,
+    DEFAULT_BUDGET,
     DerivStep,
     cayley_wp,
     derivation_concat,
@@ -16,12 +22,13 @@ from stratisolve.oracle import (
     replay_derivation,
     todd_coxeter,
 )
+from stratisolve.pipeline import compile
 from stratisolve.presentation import (
     Presentation,
     natural_presentation,
     parse_word,
 )
-from stratisolve.words import EMPTY, concat, inverse, power
+from stratisolve.words import EMPTY, concat, free_reduce, inverse, power
 
 
 def pres(generators, relators):
@@ -125,6 +132,63 @@ def test_derivation_gcd():
     assert g == 2
     assert dg.word == (("a", 2),)
     assert replay_derivation(p, dg)
+
+
+# -- pinned searches -------------------------------------------------------------
+
+#: sha256 of the repr of every ``derive_trivial`` outcome (the Derivation
+#: found, or None) on ``_search_cases``: at ``Budget(4, 40, 20)`` on all 200
+#: pairs; at the default budget on the relator products and the first four
+#: powers, since a failed default search costs a third of a second
+SEARCH_PINS = {
+    Budget(4, 40, 20):
+        "f343df402ad0543cd2d0d30d1d625eb2221b53c140cc6741833e2d63dcbaacef",
+    DEFAULT_BUDGET:
+        "23e84551e35fa17e5dd6dc31fcaaf70065c9297103e262e665c5faa9a74cfce9",
+}
+
+
+def _search_cases():
+    """Two (presentation, word) pairs per graph with a black: the fixtures,
+    then seed-19 acceptance-generator graphs.  The first word is b^n for a
+    random black b and n in 1..6 (the capped search derives about half of
+    them); the second is a product of one or two conjugated relators, which
+    every search here derives."""
+    rng = random.Random(19)
+    graphs = [load_fixture(name) for name in FIXTURE_NAMES]
+    cases = []
+    while len(cases) < 200:
+        g = graphs.pop(0) if graphs else _random_valid_graph(rng)
+        if g is None or not g.blacks:
+            continue
+        p = compile(g).pres
+        b = rng.choice(p.graph.black_names())
+        cases.append((p, ((f"b.{b}", rng.randint(1, 6)),)))
+        parts = []
+        for _ in range(rng.randint(1, 2)):
+            u = tuple((rng.choice(p.generators), rng.choice((-1, 1)))
+                      for _ in range(rng.randint(0, 2)))
+            rel = power(rng.choice(p.relators), rng.choice((1, -1)))
+            parts.append(concat(u, rel, inverse(u)))
+        cases.append((p, free_reduce(concat(*parts))))
+    return cases
+
+
+@pytest.mark.parametrize("budget", list(SEARCH_PINS), ids=("capped", "default"))
+def test_derive_trivial_outcomes_are_pinned(budget):
+    """The search explores in one fixed order: which words it derives, and
+    with which steps, does not change."""
+    cases = _search_cases()
+    if budget == DEFAULT_BUDGET:
+        cases = [c for i, c in enumerate(cases) if i % 2 or i < 8]
+    h = hashlib.sha256()
+    found = 0
+    for p, w in cases:
+        d = derive_trivial(p, w, budget)
+        found += d is not None
+        h.update(repr(d).encode())
+    assert 0 < found < len(cases)
+    assert h.hexdigest() == SEARCH_PINS[budget]
 
 
 # -- coset enumeration ---------------------------------------------------------

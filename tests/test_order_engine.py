@@ -3,6 +3,7 @@ import random
 
 import pytest
 from test_acceptance import _random_valid_graph
+from test_serre_solver import _disk_capped_chain
 
 from stratisolve import oracle, order_engine
 from stratisolve.errors import UndeterminedError
@@ -112,13 +113,14 @@ def test_ab_evidence_divides_sigma(fixtures):
 def searches(monkeypatch):
     """The words the order engine searches certificates for.  Its H1
     screen looks ``derive_trivial`` up by its name in ``oracle``, so the
-    spy sees every search."""
+    spy sees every search; it forwards the relator encoding that the order
+    engine passes along."""
     words = []
     original = oracle.derive_trivial
 
-    def spy(pres, word, budget):
+    def spy(pres, word, budget, relator_codes=None):
         words.append(word)
-        return original(pres, word, budget)
+        return original(pres, word, budget, relator_codes)
 
     monkeypatch.setattr(oracle, "derive_trivial", spy)
     return words
@@ -172,6 +174,25 @@ def test_h1_screen_skips_blacks_of_infinite_h1_order(searches):
     assert oa.ab_evidence == {"b1": 0, "b2": 3}
     assert searches == [(("b.b2", 3),)]
     assert oa.status == "exact" and oa.sigma == {"b1": 0, "b2": 3}
+
+
+def test_one_resolution_encodes_the_relators_once(searches, monkeypatch):
+    # eight disks, eight searches, one encoding: the order engine hands its
+    # encoding to every search, so derive_trivial never makes its own
+    encodings = []
+    original = oracle.encode_relators
+
+    def spy(pres, *rest):
+        encodings.append(pres)
+        return original(pres, *rest)
+
+    monkeypatch.setattr(oracle, "encode_relators", spy)
+    monkeypatch.setattr(order_engine, "encode_relators", spy)
+    c = compile(_disk_capped_chain(8))
+    oa = certify_orders(c.pres, DEFAULT_BUDGET)
+    assert oa.status == "exact" and set(oa.sigma.values()) == {2}
+    assert len(searches) == 8
+    assert encodings == [c.pres]
 
 
 def test_certified_orders_are_multiples_of_the_h1_order():

@@ -1,6 +1,8 @@
 import random
+from math import gcd, lcm
 
 import pytest
+from test_acceptance import _random_valid_graph
 from test_serre_solver import _disk_capped_chain
 
 from stratisolve.errors import (
@@ -19,6 +21,7 @@ from stratisolve.presentation import (
     surface_names,
 )
 from stratisolve.pipeline import compile
+from stratisolve.snf import smith_normal_form
 from stratisolve.words import concat, free_reduce, inverse
 
 
@@ -150,3 +153,66 @@ def test_ab_order_additive():
     w2 = parse_word("t.e2 * b.b1", p)
     assert ab.order(w1) == ab.order(w2) == 0
     assert ab.order(free_reduce(w1 + tuple((n, -e) for n, e in reversed(w2)))) == 1
+
+
+# -- H1 by elimination against the dense Smith form ---------------------------------
+
+def _dense_h1(p):
+    """Free rank, torsion and the order of a word in H1, read from the
+    Smith form of the whole relation matrix."""
+    n = len(p.generators)
+    rows = []
+    for rel in p.relators:
+        row = [0] * n
+        for name, exp in rel:
+            row[p.index(name)] += exp
+        rows.append(row)
+    diag, v = smith_normal_form(rows, n)
+
+    def order(w):
+        u = [0] * n
+        for name, exp in w:
+            u = [a + exp * x for a, x in zip(u, v[p.index(name)])]
+        out = 1
+        for j, uj in enumerate(u):
+            d = diag[j] if j < len(diag) else 0
+            if d > 0:
+                out = lcm(out, d // gcd(d, uj))
+            elif uj:
+                return 0
+        return out
+
+    return n - sum(1 for d in diag if d), tuple(d for d in diag if d > 1), order
+
+
+def test_elimination_agrees_with_the_dense_smith_form(fixtures):
+    rng = random.Random(19)
+    graphs = [*fixtures.values(), _disk_capped_chain(8), _disk_capped_chain(32)]
+    while len(graphs) < len(fixtures) + 2 + 300:
+        g = _random_valid_graph(rng)
+        if g is not None:
+            graphs.append(g)
+    for g in graphs:
+        p = compile(g).pres
+        ab = abelianization(p)
+        free_rank, torsion, order = _dense_h1(p)
+        assert (ab.free_rank(), ab.torsion()) == (free_rank, torsion), g
+        words = [((f"b.{b}", 1),) for b in g.black_names()]
+        words += [
+            tuple((rng.choice(p.generators), rng.choice((-3, -1, 1, 2)))
+                  for _ in range(rng.randint(1, 6)))
+            for _ in range(4)
+        ]
+        for w in words:
+            assert ab.order(w) == order(w), (g, w)
+
+
+def test_long_disk_capped_chain_leaves_no_block():
+    # every b, c and disk curve is eliminated by a unit pivot; the surface
+    # generators are in no relation and stay free, so no Smith form is left
+    p = compile(_disk_capped_chain(128)).pres
+    ab = abelianization(p)
+    assert ab.columns == () and ab.diagonal == ()
+    assert len(ab.substitutions) + len(ab.free) == len(p.generators)
+    assert ab.free_rank() == 2 * 129 and ab.torsion() == ()
+    assert all(ab.order(((f"b.b{i}", 1),)) == 1 for i in range(1, 129))
