@@ -102,11 +102,19 @@ class RelatorCodes(NamedTuple):
 
     A letter is a signed code: generator number c (from 1) or its inverse
     -c.  Each entry of ``relators`` is one relator or its inverse: (codes,
-    length, negated first code, negated last code, relator index, sign)."""
+    length, negated first code, negated last code, relator index, sign).
+    An entry is named by its place in ``relators``: ``after[c]`` lists, in
+    order, the entries whose first code cancels a letter c just before
+    them, ``before[c]`` those whose last code cancels a letter c just after
+    them, and ``by_length`` pairs each length, ascending, with its
+    entries."""
 
     names: tuple[str, ...]  # code -> generator name; code 0 is unused
     codes: dict[str, int]
     relators: tuple[tuple[tuple[int, ...], int, int, int, int, int], ...]
+    after: dict[int, list[int]]
+    before: dict[int, list[int]]
+    by_length: tuple[tuple[int, list[int]], ...]
 
     def encode(self, word: Word) -> tuple[int, ...]:
         out: list[int] = []
@@ -123,7 +131,8 @@ def encode_relators(p: Presentation) -> RelatorCodes:
     """Number the generators and encode each relator and its inverse,
     freely reduced as ``power`` gives them to ``apply_step``."""
     names = ("", *p.generators)
-    enc = RelatorCodes(names, {name: c for c, name in enumerate(names) if c}, ())
+    enc = RelatorCodes(names, {name: c for c, name in enumerate(names) if c},
+                       (), {}, {}, ())
     rels = []
     for idx, r in enumerate(p.relators):
         rel = enc.encode(free_reduce(r))
@@ -132,7 +141,15 @@ def encode_relators(p: Presentation) -> RelatorCodes:
         inv = tuple(-x for x in reversed(rel))
         rels.append((rel, len(rel), -rel[0], -rel[-1], idx, 1))
         rels.append((inv, len(inv), -inv[0], -inv[-1], idx, -1))
-    return enc._replace(relators=tuple(rels))
+    after: dict[int, list[int]] = {}
+    before: dict[int, list[int]] = {}
+    lengths: dict[int, list[int]] = {}
+    for r, (_, lr, neg_first, neg_last, _, _) in enumerate(rels):
+        after.setdefault(neg_first, []).append(r)
+        before.setdefault(neg_last, []).append(r)
+        lengths.setdefault(lr, []).append(r)
+    return enc._replace(relators=tuple(rels), after=after, before=before,
+                        by_length=tuple(sorted(lengths.items())))
 
 
 def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET,
@@ -153,12 +170,35 @@ def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET,
     state keeps only a back-link to the state it came from and its move;
     the steps of a derivation, with their conjugators, are built only for
     the one that reaches the empty word.
+
+    Expanding a state builds only its cancelling children, found through
+    ``after`` and ``before``.  Its plain children, whose seams cannot
+    cancel, are queued lazily (partial expansion for a large fan-out,
+    Yoshizumi, Miura and Ishida, AAAI 2000): those whose relators have one
+    length l all have n + l letters, n the state's, so one queue entry
+    stands for them all.  It is keyed by the next of them in (position,
+    entry) order; popping it builds that child and queues the entry again
+    at the one after.  The outcome is that of the eager search, which
+    builds and queues every child when it expands a state, unless the
+    child's state was queued before with no more insertions, and passes
+    over a popped state that was queued since with fewer:
+
+    * entries are ordered by (size, insertions, expansion number,
+      position, entry), the order in which the eager search queues them;
+    * all entries of a state have its size, so they pop in the order of
+      their insertions and then of their queueing; an entry whose state
+      was already expanded with no more insertions is dropped when it
+      pops, and is no expansion, and these are exactly the entries that
+      the eager search never queues or passes over;
+    * only a cancelling insertion can reach the empty word, and those are
+      built at once, in (position, entry) order, so the first to reach it
+      is the eager search's.
     """
     start = free_reduce(w)
     if start == EMPTY:
         return Derivation(start, ())
     enc = relator_codes if relator_codes is not None else encode_relators(p)
-    rels = enc.relators
+    rels, after, before = enc.relators, enc.after, enc.before
 
     def derivation(link) -> Derivation:
         steps = []
@@ -170,17 +210,39 @@ def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET,
     init = enc.encode(start)
     max_length = budget.max_length
     push = heapq.heappush
-    # (size, insertions, tick, state, back-link); a back-link is (the
-    # parent's back-link, parent state, position, relator index, sign)
-    tick = 0
-    heap = [(len(init), 0, tick, init, None)]
-    best: dict[tuple[int, ...], int] = {init: 0}
-    seen = best.get
+    # (size, insertions, expansion, position, entry, state, back-link,
+    # group, place); a back-link is (the parent's back-link, parent state,
+    # position, relator index, sign).  An entry for plain children holds
+    # the parent and its back-link, the entries of one length as group,
+    # and the place of its child's entry in there.
+    heap = [(len(init), 0, 0, 0, 0, init, None, None, 0)]
+
+    def queue_plain(size, ins, exp_no, parent, link, pos, group, place):
+        # the first plain child at or after (pos, group[place])
+        n = len(parent)
+        while pos <= n:
+            left = parent[pos - 1] if pos else 0
+            right = parent[pos] if pos < n else 0
+            for place in range(place, len(group)):
+                r = group[place]
+                if left != rels[r][2] and right != rels[r][3]:
+                    push(heap, (size, ins, exp_no, pos, r, parent, link, group, place))
+                    return
+            pos += 1
+            place = 0
+
+    expanded: dict[tuple[int, ...], int] = {}  # state -> fewest insertions
     expansions = 0
     while heap and expansions < budget.max_expansions:
-        _, ins, _, cur, link = heapq.heappop(heap)
-        if seen(cur, budget.insertions + 1) < ins:
+        size, ins, exp_no, pos, r, cur, link, group, place = heapq.heappop(heap)
+        if group is not None:
+            queue_plain(size, ins, exp_no, cur, link, pos, group, place + 1)
+            rel, _, _, _, idx, sign = rels[r]
+            link = (link, cur, pos, idx, sign)
+            cur = cur[:pos] + rel + cur[pos:]
+        if expanded.get(cur, ins + 1) <= ins:
             continue
+        expanded[cur] = ins
         expansions += 1
         if ins >= budget.insertions:
             continue
@@ -189,42 +251,38 @@ def derive_trivial(p: Presentation, w: Word, budget: Budget = DEFAULT_BUDGET,
         for pos in range(n + 1):
             left = cur[pos - 1] if pos else 0
             right = cur[pos] if pos < n else 0
-            head, tail = cur[:pos], cur[pos:]
-            for rel, lr, neg_first, neg_last, idx, sign in rels:
-                if left != neg_first and right != neg_last:
-                    # neither seam cancels
-                    size = n + lr
-                    if size > max_length:
-                        continue
-                    nxt = head + rel + tail
-                else:
-                    # prefix|relator: cur[pos-k:pos] cancels rel[:k]
-                    k = 0
-                    while k < pos and k < lr and cur[pos - 1 - k] == -rel[k]:
-                        k += 1
-                    # relator|suffix: rel[lr-j:] cancels cur[pos:pos+j];
-                    # once the relator is used up, cur[pos-k-i:pos-k]
-                    # cancels cur[pos+j:pos+j+i]
-                    j = 0
-                    while (k + j < lr and pos + j < n
-                           and rel[lr - 1 - j] == -cur[pos + j]):
-                        j += 1
-                    i = 0
-                    if k + j == lr:
-                        while (i < pos - k and pos + j + i < n
-                               and cur[pos - k - 1 - i] == -cur[pos + j + i]):
-                            i += 1
-                    size = n + lr - 2 * (k + j + i)
-                    if not size:
-                        return derivation((link, cur, pos, idx, sign))
-                    if size > max_length:
-                        continue
-                    nxt = cur[:pos - k - i] + rel[k:lr - j] + cur[pos + j + i:]
-                if seen(nxt, child + 1) <= child:
+            a, b = after.get(left, ()), before.get(right, ())
+            for r in sorted({*a, *b}) if a and b else a or b:
+                rel, lr, _, _, idx, sign = rels[r]
+                # prefix|relator: cur[pos-k:pos] cancels rel[:k]
+                k = 0
+                while k < pos and k < lr and cur[pos - 1 - k] == -rel[k]:
+                    k += 1
+                # relator|suffix: rel[lr-j:] cancels cur[pos:pos+j]; once
+                # the relator is used up, cur[pos-k-i:pos-k] cancels
+                # cur[pos+j:pos+j+i]
+                j = 0
+                while (k + j < lr and pos + j < n
+                       and rel[lr - 1 - j] == -cur[pos + j]):
+                    j += 1
+                i = 0
+                if k + j == lr:
+                    while (i < pos - k and pos + j + i < n
+                           and cur[pos - k - 1 - i] == -cur[pos + j + i]):
+                        i += 1
+                size = n + lr - 2 * (k + j + i)
+                if not size:
+                    return derivation((link, cur, pos, idx, sign))
+                if size > max_length:
                     continue
-                best[nxt] = child
-                tick += 1
-                push(heap, (size, child, tick, nxt, (link, cur, pos, idx, sign)))
+                nxt = cur[:pos - k - i] + rel[k:lr - j] + cur[pos + j + i:]
+                if expanded.get(nxt, child + 1) > child:  # else dropped
+                    push(heap, (size, child, expansions, pos, r, nxt,
+                                (link, cur, pos, idx, sign), None, 0))
+        for lr, group in enc.by_length:
+            if n + lr > max_length:
+                break
+            queue_plain(n + lr, child, expansions, cur, link, 0, group, 0)
     return None
 
 

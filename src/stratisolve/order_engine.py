@@ -124,7 +124,9 @@ def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
     h1 = {b: ab.order(((f"b.{b}", 1),)) for b in g.black_names()}
     # black -> (e, certificate of b^e = 1), e the gcd of all exponents found
     best: dict[str, tuple[int, Derivation]] = {}
-    unresolved: set[str] = set()
+    # (black, exponent) pairs whose search failed: the search is
+    # deterministic, so a later round would only fail on them again
+    failed: set[tuple[str, int]] = set()
 
     def sigma() -> dict[str, int]:
         return {b: best[b][0] if b in best else 0 for b in g.black_names()}
@@ -143,19 +145,21 @@ def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
             cur = best.get(black)
             if cur and exp % cur[0] == 0:
                 continue  # already certified
+            if (black, exp) in failed:
+                continue
             letter = f"b.{black}"
             d = derive_if_h1_trivial(ab, ((letter, exp),), budget, relator_codes)
             if d is None:
-                unresolved.add(black)
+                failed.add((black, exp))
                 continue
             best[black] = (exp, d) if cur is None else derivation_gcd(letter, cur[1], d)
             progress = True
         if not progress:
             break
         violations = validity_check(g, sigma())
-    if not unresolved:
-        # violations persist without certificates: not exact
-        unresolved.update(b for b, _ in violations)
+    # with no search failed, violations that persist without certificates
+    # leave the result undetermined all the same
+    unresolved = {b for b, _ in failed or violations}
     return OrderAssignment(
         MappingProxyType(sigma()),
         tuple(sorted(unresolved)),

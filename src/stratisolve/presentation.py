@@ -143,14 +143,21 @@ class Abelianization(NamedTuple):
     (``columns``) span the block that is left, and its Smith form
     D = U B V gives the others: a vector x over them has coordinates
     u = x V, u_j in Z/d_j (in Z where d_j = 0 or j is past the diagonal).
-    Generators are named by their index in the presentation."""
+    Generators are named by their index in the presentation, which
+    ``index`` maps each generator name to."""
 
     presentation: Presentation
+    index: dict[str, int]
     substitutions: tuple[tuple[int, tuple[tuple[int, int], ...]], ...]
     free: tuple[int, ...]
     columns: tuple[int, ...]
     diagonal: tuple[int, ...]
     colbasis: tuple[tuple[int, ...], ...]  # V, columns operated
+
+    def __hash__(self):
+        # ``index`` is a function of the presentation, so equal records
+        # still hash equal without it
+        return hash(self[:1] + self[2:])
 
     def free_rank(self) -> int:
         return len(self.free) + len(self.columns) - sum(1 for d in self.diagonal if d)
@@ -162,9 +169,8 @@ class Abelianization(NamedTuple):
         """Order of the image of w in H1 (0 = infinite, 1 = trivial): the
         substitutions, in elimination order, move w's exponent sums onto
         the survivors, whose rows of V then give its coordinates."""
-        gens = self.presentation.generators
-        index = {g: i for i, g in enumerate(gens)}
-        x = [0] * len(gens)
+        index = self.index
+        x = [0] * len(index)
         for name, exp in w:
             x[index[name]] += exp
         for i, terms in self.substitutions:
@@ -257,5 +263,5 @@ def abelianization(p: Presentation) -> Abelianization:
             dense[position[i]] = v
         block.append(dense)
     diag, v = smith_normal_form(block, len(columns))
-    return Abelianization(p, tuple(substitutions), free, columns, tuple(diag),
-                          tuple(tuple(r) for r in v))
+    return Abelianization(p, index, tuple(substitutions), free, columns,
+                          tuple(diag), tuple(tuple(r) for r in v))

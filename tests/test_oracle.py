@@ -1,10 +1,11 @@
 import hashlib
+import heapq
 import random
 
 import pytest
 from test_acceptance import _random_valid_graph
 
-from stratisolve import FIXTURE_NAMES, load_fixture
+from stratisolve import FIXTURE_NAMES, load_fixture, oracle
 from stratisolve.errors import IncompleteTableError
 from stratisolve.graph_model import canonical_tree
 from stratisolve.oracle import (
@@ -18,6 +19,7 @@ from stratisolve.oracle import (
     derivation_inverse,
     derivation_repeat,
     derive_trivial,
+    encode_relators,
     finite_quotient_search,
     replay_derivation,
     todd_coxeter,
@@ -189,6 +191,157 @@ def test_derive_trivial_outcomes_are_pinned(budget):
         h.update(repr(d).encode())
     assert 0 < found < len(cases)
     assert h.hexdigest() == SEARCH_PINS[budget]
+
+
+# -- differential check of the lazy search ---------------------------------------
+
+def _eager_derive_trivial(p, w, budget, expanded):
+    """The search as it was before plain children were queued lazily: every
+    child of a state is built and queued when the state is expanded,
+    skipping one queued before with no more insertions.  The reference
+    for ``test_lazy_search_matches_the_eager_one``; it appends each
+    (state, insertions) it expands to ``expanded``."""
+    start = free_reduce(w)
+    if start == EMPTY:
+        return Derivation(start, ())
+    enc = encode_relators(p)
+    rels = enc.relators
+
+    def derivation(link):
+        steps = []
+        while link is not None:
+            link, state, pos, idx, sign = link
+            steps.append(DerivStep(enc.decode(state[pos:]), idx, sign))
+        return Derivation(start, tuple(reversed(steps)))
+
+    init = enc.encode(start)
+    tick = 0
+    heap = [(len(init), 0, tick, init, None)]
+    best = {init: 0}
+    expansions = 0
+    while heap and expansions < budget.max_expansions:
+        _, ins, _, cur, link = heapq.heappop(heap)
+        if best.get(cur, budget.insertions + 1) < ins:
+            continue
+        expansions += 1
+        expanded.append((cur, ins))
+        if ins >= budget.insertions:
+            continue
+        child = ins + 1
+        n = len(cur)
+        for pos in range(n + 1):
+            left = cur[pos - 1] if pos else 0
+            right = cur[pos] if pos < n else 0
+            for rel, lr, neg_first, neg_last, idx, sign in rels:
+                if left != neg_first and right != neg_last:
+                    size = n + lr
+                    if size > budget.max_length:
+                        continue
+                    nxt = cur[:pos] + rel + cur[pos:]
+                else:
+                    k = 0
+                    while k < pos and k < lr and cur[pos - 1 - k] == -rel[k]:
+                        k += 1
+                    j = 0
+                    while (k + j < lr and pos + j < n
+                           and rel[lr - 1 - j] == -cur[pos + j]):
+                        j += 1
+                    i = 0
+                    if k + j == lr:
+                        while (i < pos - k and pos + j + i < n
+                               and cur[pos - k - 1 - i] == -cur[pos + j + i]):
+                            i += 1
+                    size = n + lr - 2 * (k + j + i)
+                    if not size:
+                        return derivation((link, cur, pos, idx, sign))
+                    if size > budget.max_length:
+                        continue
+                    nxt = cur[:pos - k - i] + rel[k:lr - j] + cur[pos + j + i:]
+                if best.get(nxt, child + 1) <= child:
+                    continue
+                best[nxt] = child
+                tick += 1
+                heapq.heappush(heap, (size, child, tick, nxt,
+                                      (link, cur, pos, idx, sign)))
+    return None
+
+
+def _differential_cases():
+    """The fixtures, then 30 seed-22 acceptance-generator graphs; on each,
+    b^k for every black b and a random k in 1..6, and two products of
+    conjugated relators."""
+    rng = random.Random(22)
+    graphs = [load_fixture(name) for name in FIXTURE_NAMES]
+    while len(graphs) < len(FIXTURE_NAMES) + 30:
+        g = _random_valid_graph(rng)
+        if g is not None:
+            graphs.append(g)
+    for g in graphs:
+        p = compile(g).pres
+        for b in p.graph.black_names():
+            yield p, ((f"b.{b}", rng.randint(1, 6)),)
+        for _ in range(2):
+            parts = []
+            for _ in range(rng.randint(1, 3)):
+                u = tuple((rng.choice(p.generators), rng.choice((-1, 1)))
+                          for _ in range(rng.randint(0, 2)))
+                rel = power(rng.choice(p.relators), rng.choice((1, -1)))
+                parts.append(concat(u, rel, inverse(u)))
+            yield p, free_reduce(concat(*parts))
+
+
+def _lazy_derive_trivial(monkeypatch, p, w, budget, expanded):
+    """``derive_trivial``, appending each (state, insertions) it expands to
+    ``expanded``.  They are read off the queue entries it pops, laid out as
+    its comments say: an entry for plain children stands for the child at
+    its position and relator entry, and an entry whose state was expanded
+    before with no more insertions is dropped."""
+    popped = []
+
+    class Recording:
+        heappush = staticmethod(heapq.heappush)
+
+        @staticmethod
+        def heappop(heap):
+            popped.append(heapq.heappop(heap))
+            return popped[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(oracle, "heapq", Recording)
+        d = derive_trivial(p, w, budget)
+    rels = encode_relators(p).relators
+    fewest = {}
+    for _, ins, _, pos, r, state, _, group, _ in popped:
+        if group is not None:
+            state = state[:pos] + rels[r][0] + state[pos:]
+        if fewest.get(state, ins + 1) > ins:
+            fewest[state] = ins
+            expanded.append((state, ins))
+    return d
+
+
+@pytest.mark.parametrize("budget, every", [
+    (Budget(6, 64, 1), 1), (Budget(6, 64, 2), 1), (Budget(4, 40, 20), 1),
+    (Budget(2, 10, 3000), 1), (Budget(3, 12, 3000), 4),
+], ids=lambda x: str(tuple(x)) if isinstance(x, Budget) else None)
+def test_lazy_search_matches_the_eager_one(budget, every, monkeypatch):
+    """Same derivation, steps and all, or None on both sides, on every
+    ``every``-th case (the eager search costs seconds at 3000 expansions),
+    after expanding the same states in the same order with the same
+    insertions, which checks the order of the queue and the count of
+    expansions directly.  ``2,10`` runs some searches dry and stops others
+    at 3000 expansions."""
+    found = cases = 0
+    for n, (p, w) in enumerate(_differential_cases()):
+        if n % every:
+            continue
+        eager, lazy = [], []
+        d = _lazy_derive_trivial(monkeypatch, p, w, budget, lazy)
+        assert d == _eager_derive_trivial(p, w, budget, eager), (p.graph, w)
+        assert lazy == eager, (p.graph, w)
+        found += d is not None
+        cases += 1
+    assert 0 < found < cases
 
 
 # -- coset enumeration ---------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 from test_acceptance import _random_valid_graph
@@ -195,6 +196,18 @@ def test_one_resolution_encodes_the_relators_once(searches, monkeypatch):
     assert encodings == [c.pres]
 
 
+def test_a_failed_pair_is_searched_once(searches):
+    # at this budget b1^3 fails in round 1, while b2's certificate makes
+    # progress, so round 2 meets (b1, 3) again; it is not searched again
+    g = parse_graph(
+        "white w1 genus 0\nwhite w2 genus 0\nwhite w3 genus 0\n"
+        "black b1\nblack b2\nedge e1 w1 b1 3\nedge e2 w1 b2 3\n"
+        "edge e3 w2 b2 1\nedge e4 w3 b1 -3\nedge e5 w3 b2 2\n"
+    )
+    oa = certify_orders(compile(g).pres, Budget(4, 40, 20))
+    assert searches == [(("b.b2", 1),), (("b.b1", 3),)]
+    assert oa.unresolved == ("b1",) and oa.sigma == {"b1": 0, "b2": 1}
+
 def test_certified_orders_are_multiples_of_the_h1_order():
     """The invariant the screen relies on, on seeded random graphs: every
     relation b^n = 1 known without the screen (a disk of label m gives
@@ -275,3 +288,53 @@ def test_order_resolution_is_pinned(fixtures, monkeypatch):
     # the docstring of order_engine argues every searched exponent is >= 1
     assert exponents and min(exponents) >= 1
     assert h.hexdigest() == PIN_DIGEST
+
+
+# -- a large random tree -----------------------------------------------------------
+
+def _random_tree_text(whites: int, seed: int) -> str:
+    """A seeded random tree with ``whites`` whites besides its disks.  Each
+    white after the first hangs on a fresh black, which joins it to an
+    earlier white, with labels drawn from 1, 1, 2, 3; a black gets a
+    genus-0 disk of label 2 or 3 when its two labels sum to less than 3,
+    or with chance 0.3.  Genera are drawn from 0, 0, 1, -1, 2."""
+    rng = random.Random(seed)
+    lines = [f"white w0 genus {rng.choice((0, 0, 1, -1, 2))}"]
+    blacks, edges = [], []
+    for i in range(1, whites):
+        lines.append(f"white w{i} genus {rng.choice((0, 0, 1, -1, 2))}")
+        b = f"b{i}"
+        blacks.append(f"black {b}")
+        l1, l2 = rng.choice((1, 1, 2, 3)), rng.choice((1, 1, 2, 3))
+        edges += [f"edge u{i} w{rng.randrange(i)} {b} {l1}",
+                  f"edge v{i} w{i} {b} {l2}"]
+        if l1 + l2 < 3 or rng.random() < 0.3:
+            lines.append(f"white d{i} genus 0")
+            edges.append(f"edge k{i} d{i} {b} {rng.choice((2, 3))}")
+    return "\n".join(lines + blacks + edges) + "\n"
+
+
+#: ``_random_tree_text(30, 2)``: 42 whites with its disks, 135 generators.
+#: Its failed default-budget searches once took about a minute, when a
+#: search built every child of each state it expanded; these are the
+#: orders and the undetermined blacks it had then
+TREE_PATH = Path(__file__).parent / "data" / "random-tree-30.graph"
+TREE_SIGMA = {
+    "b1": 0, "b2": 0, "b3": 3, "b4": 0, "b5": 0, "b6": 2, "b7": 3, "b8": 0,
+    "b9": 3, "b10": 0, "b11": 0, "b12": 3, "b13": 3, "b14": 3, "b15": 2,
+    "b16": 2, "b17": 0, "b18": 1, "b19": 2, "b20": 1, "b21": 2, "b22": 2,
+    "b23": 1, "b24": 3, "b25": 0, "b26": 3, "b27": 3, "b28": 3, "b29": 0,
+}
+TREE_UNRESOLVED = ("b16", "b17", "b25", "b5")
+
+
+def test_large_random_tree_resolves_as_pinned():
+    text = TREE_PATH.read_text()
+    assert text == _random_tree_text(30, 2)
+    c = compile(parse_graph(text))
+    oa = certify_orders(c.pres, DEFAULT_BUDGET)
+    assert oa.sigma == TREE_SIGMA
+    assert oa.unresolved == TREE_UNRESOLVED
+    for b, d in oa.certificates.items():
+        assert d.word == ((f"b.{b}", oa.sigma[b]),)
+        assert replay_derivation(c.pres, d), b
