@@ -42,39 +42,48 @@ def build_white_handle(
     g: StratifoldGraph, w: str, sigma: dict[str, int]
 ) -> WhiteHandle:
     """Classify the white vertex group under the order assignment sigma."""
-    edges = g.edges_at_white(w)
+    edges, genus = g.edges_at_white(w), g.white(w).genus
     spec = WhiteGroupSpec(
         boundary_names=tuple(f"c.{e.name}" for e in edges),
         boundary_orders=tuple(
             edge_group_order(sigma[e.black], e.label) for e in edges
         ),
-        genus=g.white(w).genus,
-        surface_names=surface_names(w, g.white(w).genus),
+        genus=genus,
+        surface_names=surface_names(w, genus),
     )
     return white_handle(spec)
 
 
 def boundary_mismatches(
-    g: StratifoldGraph, white_handles: Mapping[str, WhiteHandle],
-    sigma: Mapping[str, int],
+    g: StratifoldGraph, sigma: Mapping[str, int]
 ) -> Iterator[tuple[Edge, int, int]]:
-    """(edge, computed, required) for each edge whose boundary image has a
-    computed order other than the edge-group order under sigma, whites in
-    order and each white's edges in order.  Only free products of cyclics
-    are checked: there a merged curve can change order (curves of orders
-    k1, k2 on a disk give gcd(k1, k2)), while in an amalgam, HNN or triangle
-    handle each curve keeps its order by the normal form theorem or the
-    faithful reflection representation.  On the black side b^label has
-    order sigma/gcd(sigma, |label|) by construction."""
-    for w in g.white_names():
-        wh = white_handles[w]
-        if not isinstance(wh.handle, FreeProductOfCyclics):
+    """(edge, computed, required) for each edge whose boundary image in its
+    white handle has an order other than the edge-group order under sigma,
+    whites in order and each white's edges in order.  The computed order d
+    follows from the white's genus and its curves' edge-group orders, once
+    the curves of order 1 (whose images are empty) are dropped:
+
+    * a genus-0 white with one curve is a disk: its image is empty, d = 1;
+    * a genus-0 white with two curves, of orders k1 and k2, is cyclic of
+      order d = gcd(k1, k2), generated by either image;
+    * every other white keeps every order: by the normal form theorem in an
+      amalgam or HNN handle, by the faithful reflection representation in
+      a triangle, and in a free product of cyclics because a curve is a
+      letter of its order and an eliminated undisked curve a cyclically
+      reduced word of two or more syllables, or y1^-2 on a projective
+      plane, of infinite order.
+
+    Teardrops and spindles are Scott's bad 2-orbifolds (1983, §2).  On the
+    black side b^label has order sigma/gcd(sigma, |label|) by construction.
+    """
+    for w in g.whites:
+        if w.genus:
             continue
-        for e in g.edges_at_white(w):
-            required = edge_group_order(sigma[e.black], e.label)
-            computed = wh.handle.elem_order(wh.boundary_images[f"c.{e.name}"])
-            if computed != required:
-                yield e, computed, required
+        curves = [(e, k) for e in g.edges_at_white(w.name)
+                  if (k := edge_group_order(sigma[e.black], e.label)) != 1]
+        if len(curves) in (1, 2):
+            computed = 1 if len(curves) == 1 else gcd(*(k for _, k in curves))
+            yield from ((e, computed, k) for e, k in curves if k != computed)
 
 
 class DirectedEdge(NamedTuple):
@@ -127,7 +136,7 @@ class GraphOfGroups:
             self._ends[e.name, "white"] = (self._handles[e.white], white_image)
             black_image = ((f"b.{e.black}", e.label),)
             self._ends[e.name, "black"] = (self._handles[e.black], black_image)
-        bad = next(boundary_mismatches(graph, self.white_handles, self.sigma), None)
+        bad = next(boundary_mismatches(graph, self.sigma), None)
         if bad is not None:
             e, computed, required = bad
             raise InjectivityError(

@@ -17,8 +17,8 @@ graph-of-groups solver must transport edge-group elements to the other end.
 group, free groups (all letter orders 0) and arbitrary mixtures; it is the
 black-vertex group, a white handle of its own and the factor type inside
 amalgam and HNN handles.  It alone decides membership for any target and
-computes element orders, which the handle constructors and the
-boundary-order check of ``gog.boundary_mismatches`` need.
+computes element orders, which the amalgam and HNN constructors need to
+check that their amalgamated and associated subgroups are infinite.
 """
 
 from __future__ import annotations

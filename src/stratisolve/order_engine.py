@@ -5,11 +5,12 @@ b, the order sigma(b) of its ``b.`` generator in the fundamental group
 (0 = infinite).  One rule finds them, the validity fixpoint, and only
 upper bounds certified by explicit relator derivations are ever used:
 
-* validity fixpoint: start with every sigma infinite, build all white
-  handles under the candidate sigma and compare each computed
-  boundary-image order d with the required edge-group order k; a mismatch
-  yields the true relation c^d = 1, hence b^{|m| d} = 1, which must itself
-  be certified by derivation before it is folded in;
+* validity fixpoint: start with every sigma infinite and compare each
+  boundary-image order d, read off genus and curve orders under the
+  candidate sigma with no handle built (``gog.boundary_mismatches``), with
+  the required edge-group order k; a mismatch yields the true relation
+  c^d = 1, hence b^{|m| d} = 1, which must itself be certified by
+  derivation before it is folded in;
 * H1 screen: every search goes through ``oracle.derive_if_h1_trivial``,
   which runs none for b^n when the order h of b in the abelianization H1
   is infinite or does not divide n — G -> H1 is a homomorphism, so b^n = 1
@@ -30,29 +31,19 @@ No other rule is needed to find the orders:
 
 * the disks (a terminal genus-0 white on b with edge label m, so
   b^|m| = 1) are the fixpoint's first round.  With every sigma 0, every
-  white with edges is a free product of infinite cyclics, where a boundary
-  image is a nonempty reduced word of infinite order, as required —
-  except at a terminal genus-0 white, whose image is empty and has order
-  1.  So the first round's violations are exactly (b, |m|) for each disk,
-  in white order; a disk whose |m| is a multiple of an exponent already
-  certified needs no search;
+  curve has required order 0, and only a genus-0 white with one or two
+  curves can mismatch: one curve has image order 1, while two have
+  gcd(0, 0) = 0, as required.  So the first round's violations are
+  exactly (b, |m|) for each disk, in white order; a disk whose |m| is a
+  multiple of an exponent already certified needs no search;
 * a search for small powers b^n of a black the fixpoint leaves at 0 would
   be wasted: when the fixpoint passes with every finite sigma certified,
   each vertex group embeds, so b has infinite order and no b^n = 1 holds.
 
 Every exponent |m| d the fixpoint searches is at least 1: |m| >= 1 since
-labels are nonzero, and d >= 1 in every mismatch.  Only a white handle
-that is a free product of cyclics is compared (``gog.boundary_mismatches``),
-and of its branches in ``fgroup_handles.white_handle`` these can mismatch:
-
-* a disk (genus 0, one curve) has the empty image, so d = 1;
-* a sphere with two curves of orders k1, k2 is cyclic of order
-  d = gcd(k1, k2) >= 1;
-* an eliminated undisked curve has required order 0, so a mismatch means
-  its image has a finite order d >= 1.
-
-Every other letter of a free product keeps its required order, and a
-curve of order 1 maps to the empty word, of the required order 1.
+labels are nonzero, and d >= 1 in every mismatch: by
+``gog.boundary_mismatches`` a disk has d = 1, and two curves of orders
+k1 != k2, not both 0, have d = gcd(k1, k2) >= 1.
 """
 
 from __future__ import annotations
@@ -61,7 +52,7 @@ from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from .errors import UndeterminedError
-from .gog import boundary_mismatches, build_white_handle
+from .gog import boundary_mismatches
 from .graph_model import StratifoldGraph
 from .oracle import (
     Budget,
@@ -98,10 +89,9 @@ def validity_check(
     """Compare computed boundary-image orders with required edge-group
     orders under sigma.  Returns (black, exponent) pairs for each mismatch,
     the exponent being the newly implied power b^{|m| d} = 1."""
-    handles = {w: build_white_handle(g, w, sigma) for w in g.white_names()}
     return [
         (e.black, abs(e.label) * computed)
-        for e, computed, _ in boundary_mismatches(g, handles, sigma)
+        for e, computed, _ in boundary_mismatches(g, sigma)
     ]
 
 
@@ -157,12 +147,11 @@ def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
         if not progress:
             break
         violations = validity_check(g, sigma())
-    # with no search failed, violations that persist without certificates
-    # leave the result undetermined all the same
-    unresolved = {b for b, _ in failed or violations}
+    # a failed search matters only while its violation is left: a later
+    # round may certify a divisor of its exponent
     return OrderAssignment(
         MappingProxyType(sigma()),
-        tuple(sorted(unresolved)),
+        tuple(sorted({b for b, _ in violations})),
         MappingProxyType({b: d for b, (_, d) in best.items()}),
         MappingProxyType(h1),
     )

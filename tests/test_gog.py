@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -11,12 +12,17 @@ from stratisolve.errors import (
 from stratisolve.gog import (
     DirectedEdge,
     GraphOfGroups,
+    boundary_mismatches,
     build_white_handle,
     edge_group_order,
     to_loop_word,
 )
 from stratisolve.graph_model import canonical_tree, parse_graph
-from stratisolve.local_groups import TRIVIAL_HANDLE, solve_congruence
+from stratisolve.local_groups import (
+    TRIVIAL_HANDLE,
+    FreeProductOfCyclics,
+    solve_congruence,
+)
 from stratisolve.pipeline import compile
 from stratisolve.presentation import natural_presentation, parse_word
 from stratisolve.serre_solver import solve
@@ -60,6 +66,41 @@ def test_gog_injectivity_check_rejects_bad_sigma():
     # handle computes boundary order 1
     with pytest.raises(InjectivityError):
         gog_for(Z3, {"b1": 2})
+
+
+def _handle_mismatches(g, sigma):
+    """The generic check that ``boundary_mismatches`` replaced: the order of
+    each boundary image in a white handle that is a free product of cyclics,
+    against its edge-group order."""
+    found = set()
+    for w in g.white_names():
+        wh = build_white_handle(g, w, sigma)
+        if not isinstance(wh.handle, FreeProductOfCyclics):
+            continue
+        for e in g.edges_at_white(w):
+            required = edge_group_order(sigma[e.black], e.label)
+            computed = wh.handle.elem_order(wh.boundary_images[f"c.{e.name}"])
+            if computed != required:
+                found.add((e.name, computed, required))
+    return found
+
+
+@pytest.mark.parametrize("genus", range(-3, 3))
+def test_boundary_mismatches_agree_with_the_handles(genus):
+    # one white with 0-5 curves, each on its own black by label 3, so that
+    # sigma = 3k gives the curve order k: 9331 specs per genus, 55,986 in all
+    specs = 0
+    for p in range(6):
+        g = parse_graph("".join(
+            [f"white w genus {genus}\n"]
+            + [f"black b{i}\nedge e{i} w b{i} 3\n" for i in range(1, p + 1)]
+        ))
+        for orders in itertools.product((0, 1, 2, 3, 4, 6), repeat=p):
+            sigma = {f"b{i}": 3 * k for i, k in enumerate(orders, 1)}
+            rule = {(e.name, d, k) for e, d, k in boundary_mismatches(g, sigma)}
+            assert rule == _handle_mismatches(g, sigma), (genus, orders)
+            specs += 1
+    assert specs == 9331
 
 
 def test_edge_membership_black_side():

@@ -92,6 +92,25 @@ def test_validity_check_flags_wrong_sigma():
     assert bad and bad[0][0] == "b1"
 
 
+def test_failed_search_does_not_override_a_converged_fixpoint(monkeypatch):
+    # disks of labels 6 and 2: the search for b^6 fails, b^2 is certified,
+    # and under sigma 2 no violation is left, so the answer is exact
+    g = parse_graph(
+        "white w genus 1\nwhite d1 genus 0\nwhite d2 genus 0\nblack b\n"
+        "edge e1 w b 1\nedge e2 d1 b 6\nedge e3 d2 b 2\n"
+    )
+    original = order_engine.derive_if_h1_trivial
+
+    def fail_on_b6(ab, word, budget, codes):
+        return None if word == (("b.b", 6),) else original(ab, word, budget, codes)
+
+    monkeypatch.setattr(order_engine, "derive_if_h1_trivial", fail_on_b6)
+    pres = compile(g).pres
+    oa = certify_orders(pres, DEFAULT_BUDGET)
+    assert validity_check(pres.graph, oa.sigma) == []
+    assert (oa.status, dict(oa.sigma), oa.unresolved) == ("exact", {"b": 2}, ())
+
+
 def test_ab_evidence_divides_sigma(fixtures):
     for name, g in fixtures.items():
         oa = resolve_orders(g)

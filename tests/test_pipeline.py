@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 import stratisolve
-from stratisolve import pipeline
+from stratisolve import gog as gog_module, pipeline
 from stratisolve.cli import run
 from stratisolve.decisions import is_abelian
 from stratisolve.errors import WordSyntaxError
@@ -23,12 +23,16 @@ def _unseen(g, tree_edge):
 
 
 @pytest.fixture
-def no_order_search(monkeypatch):
-    """An empty memo whose order search refuses to run; the shared memo is
-    left as it was."""
+def empty_memo(monkeypatch):
+    """An empty memo; the shared memo is left as it was."""
     monkeypatch.setattr(
         pipeline, "_compile", lru_cache(maxsize=256)(pipeline.CompiledStratifold)
     )
+
+
+@pytest.fixture
+def no_order_search(empty_memo, monkeypatch):
+    """An empty memo whose order search refuses to run."""
 
     def refuse(pres, budget):
         raise AssertionError("order resolution was not expected here")
@@ -86,6 +90,28 @@ def test_graph_of_groups_built_once_per_graph_and_budget(fixtures, gog_builds):
     assert len(gog_builds) == 2
     word_problem(g7, "c.e1", Budget.parse("5,64"))
     assert len(gog_builds) == 3
+
+
+def test_each_white_is_classified_once_per_compile(
+    fixtures, empty_memo, monkeypatch
+):
+    """The validity fixpoint reads boundary orders off genus and curve
+    orders; only the graph of groups classifies, each white once."""
+    kinds = []
+    original = gog_module.white_handle
+
+    def spy(spec):
+        wh = original(spec)
+        kinds.append((spec.boundary_names, type(wh.handle).__name__))
+        return wh
+
+    monkeypatch.setattr(gog_module, "white_handle", spy)
+    c = compile(fixtures["FX-TRI(2,3,7)"])
+    assert c.orders.sigma == {"b1": 2, "b2": 3, "b3": 7}
+    assert kinds == []
+    c.gog
+    assert len(kinds) == len(set(kinds)) == 4
+    assert [k for _, k in kinds].count("TriangleHandle") == 1
 
 
 def test_shared_orders_are_read_only(fixtures):
