@@ -132,17 +132,18 @@ def _validate(g: StratifoldGraph) -> None:
             if n in seen:
                 raise DuplicateNameError(f"duplicate {sort} name {n!r}")
             seen.add(n)
-    wset, bset = set(wnames), set(bnames)
+    wset = set(wnames)
+    sheets = dict.fromkeys(bnames, 0)  # in name order
     for e in g.edges:
-        if e.white not in wset or e.black not in bset:
+        if e.white not in wset or e.black not in sheets:
             raise DanglingEdgeError(f"edge {e.name!r} references unknown endpoint")
         if e.label == 0:
             raise ZeroLabelError(f"edge {e.name!r} has label 0")
-    for b in g.blacks:
-        total = sum(abs(e.label) for e in g.edges_at_black(b.name))
+        sheets[e.black] += abs(e.label)
+    for b, total in sheets.items():
         if total < 3:
             raise BlackDegreeError(
-                f"black vertex {b.name!r} has sheet count {total} < 3"
+                f"black vertex {b!r} has sheet count {total} < 3"
             )
     # a black has at least 3 sheets, so there is a white for the basepoint
     if len(canonical_tree(g).parent) != len(g.whites) + len(g.blacks) - 1:

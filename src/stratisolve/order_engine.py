@@ -125,11 +125,9 @@ def certify_orders(pres: Presentation, budget: Budget) -> OrderAssignment:
     # one encoding of the relators serves every search; with no violation
     # in the first round nothing is searched
     relator_codes = encode_relators(pres) if violations else None
-    # fixpoint: each accepted violation strictly shrinks some sigma by a
-    # proper divisor, so iterations are bounded by sum(log2(sigma))
-    for _ in range(64):
-        if not violations:
-            break
+    # fixpoint: a round without progress ends it, and each progress makes
+    # some sigma finite or replaces it by a proper divisor, so it ends
+    while violations:
         progress = False
         for black, exp in violations:
             cur = best.get(black)

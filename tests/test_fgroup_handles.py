@@ -16,6 +16,7 @@ from stratisolve.local_groups import (
     FreeProductOfCyclics,
     cyclic_group,
     free_group,
+    solve_congruence,
 )
 from stratisolve.oracle import cayley_wp, todd_coxeter
 from stratisolve.pipeline import compile
@@ -267,6 +268,48 @@ def test_triangle_power_tables(orders):
         rot = pw[1]
         for e in range(-2 * k, 2 * k + 1):
             assert h.matrix(((name, e),)) == rot.pow(e % k)
+
+
+def _chamber_point(h, w):
+    """The row vector (1, 1, 1) times the matrix of w, one row-vector
+    product per letter over h's power tables."""
+    f = h.field
+    v = (f.one(),) * 3
+    for name, exp in w:
+        pw = h._powers[name]
+        v = tuple(f.dot(v, col) for col in zip(*pw[exp % len(pw)].rows))
+    return v
+
+
+@pytest.mark.parametrize("orders", [
+    (2, 3, 5), (2, 3, 7), (2, 4, 5), (3, 3, 4), (2, 3, 6), (2, 4, 4),
+    (3, 3, 3), (2, 3, 3), (2, 3, 4), (2, 2, 5), (4, 5, 6), (2, 3, 11),
+])
+def test_chamber_point_decides_like_the_matrices(orders):
+    # (1, 1, 1) lies in the open dual fundamental chamber, whose stabilizer
+    # is trivial (Tits): on spherical, Euclidean and hyperbolic types, the
+    # point a word moves it to gives the handle's wp and membership answers
+    h = TriangleHandle(("c1", "c2", "c3"), orders)
+    start = _chamber_point(h, ())
+    exponent = {name: {_chamber_point(h, ((name, j),)): j for j in range(k)}
+                for name, k in h.letters.items()}
+    rng = random.Random(sum(orders) * 1000 + orders[0])
+    n, trivial = 60, 0
+    for _ in range(n):
+        w = tuple((rng.choice(h.names), rng.choice((-3, -2, -1, 1, 2, 3)))
+                  for _ in range(rng.randint(1, 14)))
+        if rng.random() < 0.3:
+            w = concat(w, inverse(w[:rng.randint(1, len(w))]))
+        v = _chamber_point(h, w)
+        assert h.wp(w) == (v == start), w
+        assert h.cyclic_membership(w, ()) == (0 if v == start else None)
+        trivial += v == start
+        for name, k in h.letters.items():
+            j = exponent[name].get(v)
+            for e in (1, -1, 2):
+                want = None if j is None else solve_congruence(e, j, k)
+                assert h.cyclic_membership(w, ((name, e),)) == want, (w, name, e)
+    assert 0 < trivial < n
 
 
 def test_triangle_235_agrees_with_coset_table(fixtures):

@@ -84,6 +84,17 @@ def test_black_degree_counts_sheets_not_edges():
     parse_graph(BS)
 
 
+def test_the_first_black_short_of_sheets_in_name_order_is_named():
+    # b2's edge comes first and b1 has none; sheets count |label|
+    with pytest.raises(BlackDegreeError,
+                       match=r"^black vertex 'b1' has sheet count 0 < 3$"):
+        parse_graph("white w genus 0\nblack b2\nblack b1\nedge e w b2 -2\n")
+    with pytest.raises(BlackDegreeError,
+                       match=r"^black vertex 'b2' has sheet count 2 < 3$"):
+        parse_graph("white w genus 0\nblack b2\nblack b1\n"
+                    "edge e w b2 -2\nedge f w b1 -3\n")
+
+
 def test_graph_keeps_name_order_whatever_the_input_order():
     # names sort as strings: e10 comes before e2
     g = parse_graph(

@@ -9,7 +9,7 @@ from test_serre_solver import _disk_capped_chain
 from stratisolve import oracle, order_engine
 from stratisolve.errors import UndeterminedError
 from stratisolve.graph_model import canonical_tree, parse_graph
-from stratisolve.oracle import DEFAULT_BUDGET, Budget, replay_derivation
+from stratisolve.oracle import DEFAULT_BUDGET, Budget, Derivation, replay_derivation
 from stratisolve.order_engine import (
     certify_orders,
     resolve_orders,
@@ -109,6 +109,29 @@ def test_failed_search_does_not_override_a_converged_fixpoint(monkeypatch):
     oa = certify_orders(pres, DEFAULT_BUDGET)
     assert validity_check(pres.graph, oa.sigma) == []
     assert (oa.status, dict(oa.sigma), oa.unresolved) == ("exact", {"b": 2}, ())
+
+
+def test_the_fixpoint_runs_as_many_rounds_as_the_chain_needs(monkeypatch):
+    # a label-2 disk on b0, then genus-0 annuli w_i joining b_(i-1) to b_i:
+    # each round certifies the next black, so n + 1 rounds are needed
+    n = 64
+    lines = ["white d genus 0", "edge k d b0 2"]
+    for i in range(n + 1):
+        lines += [f"black b{i}", f"white g{i} genus 1",
+                  f"edge s{i} g{i} b{i} {2 if i == n else 1}"]
+    for i in range(1, n + 1):
+        lines += [f"white w{i} genus 0", f"edge l{i} w{i} b{i - 1} 1",
+                  f"edge r{i} w{i} b{i} 1"]
+    calls = []
+
+    def certify(ab, word, budget, codes):
+        calls.append(word)
+        return Derivation(word, ())
+
+    monkeypatch.setattr(order_engine, "derive_if_h1_trivial", certify)
+    oa = certify_orders(compile(parse_graph("\n".join(lines))).pres, DEFAULT_BUDGET)
+    assert (oa.status, len(calls)) == ("exact", n + 1)
+    assert set(oa.sigma.values()) == {2}
 
 
 def test_ab_evidence_divides_sigma(fixtures):
