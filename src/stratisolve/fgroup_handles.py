@@ -20,15 +20,18 @@ boundary generator to a word in the handle's letters:
   * n = 0: trivial / finite cyclic / triangle-group reflection matrices /
     polygon amalgam, by the number of boundary curves.
 
-Amalgam and HNN word problems run by pinch reduction in one left-to-right
-pass: syllables lying in the amalgamated (resp. associated) cyclic subgroup
-are detected through factor membership with a witness exponent, transported
-to the other side and merged into the top of a stack of reduced syllables.
-Nonempty pinch-reduced words of length >= 2 are nontrivial by the normal form
-theorem (Britton's lemma for HNN extensions).  Membership is decided for a
-target in one factor (the base of an HNN handle, one rotation's powers in a
-triangle handle), as every boundary image is: g is reduced once and that
-factor decides.  Other targets raise ``NotImplementedError``.
+Amalgam and HNN handles are both the group of a graph of groups with one
+edge and infinite cyclic edge group (``CyclicSplitting``), and one reduction
+decides both: a word is read as pieces between crossings of the edge (a
+change of factor, or a stable letter), and a piece between two crossings of
+opposite sign that lies in the edge group is transported to the other end
+and merged into its neighbours, in one left-to-right stack pass.  A reduced
+word with a crossing is nontrivial and lies in neither vertex group, by the
+normal form theorem (Britton's lemma for HNN extensions).  Membership is
+decided for a target in one vertex group (a factor, the base of an HNN
+handle, one rotation's powers in a triangle handle), as every boundary image
+is: g is reduced once, based at the target's end, and that group decides.
+Other targets raise ``NotImplementedError``.
 """
 
 from __future__ import annotations
@@ -50,13 +53,87 @@ from .words import EMPTY, Word, concat, genus_word, inverse, power
 
 
 # ---------------------------------------------------------------------------
-# amalgams  A *_C B  with C = <z_A> = <z_B> infinite cyclic
+# splittings over an infinite cyclic subgroup: graphs of groups with one edge
 # ---------------------------------------------------------------------------
 
-class AmalgamHandle:
-    """Free product of two handles amalgamated over an infinite cyclic
-    subgroup.  Both factors must be FreeProductOfCyclics (they own the
-    cyclic-membership machinery the pinch reduction needs)."""
+class CyclicSplitting:
+    """A group split over an infinite cyclic subgroup C, the group of a graph
+    of groups with one edge (Serre, Trees I.5): ``ends[i]`` is the factor at
+    end i of the edge with the image of C's generator there, and ``_side``
+    maps each vertex letter to its end.  A word is read as pieces between
+    crossings of the edge and reduced once for both kinds; subclasses only
+    build the ends."""
+
+    stable: str | None = None  # the stable letter of an HNN extension
+
+    def _pieces(self, w: Word, at: int) -> list:
+        """w as [piece, e, piece, ..., piece] based at end ``at``: a crossing
+        e = +-1 goes from end 0 to end 1 (resp. back), or is a stable letter;
+        a word ending at the other end closes back to ``at``."""
+        out: list = [[]]
+        side = at
+        for name, exp in w:
+            if name == self.stable:
+                step = 1 if exp > 0 else -1
+                for _ in range(abs(exp)):
+                    out += [step, []]
+                continue
+            s = self._side.get(name)
+            if s is None:
+                raise UnknownLetterError(f"unknown letter {name!r}")
+            if s != side:
+                out += [s - side, []]
+                side = s
+            out[-1].append((name, exp))
+        if side != at:
+            out += [at - side, []]
+        out[::2] = [tuple(piece) for piece in out[::2]]
+        return out
+
+    def reduce(self, w: Word, at: int = 0) -> list:
+        """The reduced form [piece, e, piece, ...] of w based at ``at``, with
+        no pinch left: a piece z_i^k between crossings -e, e (i = 0 for
+        e = 1, i = 1 for e = -1) becomes z_{1-i}^k and merges with its
+        neighbours (Britton's lemma; the normal form theorem for amalgams).
+        One left-to-right pass: a pinch changes only the top piece, and
+        every crossing pair below it was already refuted."""
+        pieces = self._pieces(w, at)
+        out = [pieces[0]]
+        for i in range(1, len(pieces), 2):
+            e, a = pieces[i], pieces[i + 1]
+            if len(out) > 1 and out[-2] == -e:
+                # the piece lies at end 0 when e = 1, at end 1 when e = -1
+                (group, z), (other, z_other) = self.ends[::e]
+                k = group.cyclic_membership(out[-1], z)
+                if k is not None:
+                    out[-3:] = [other.normal_form(concat(out[-3], power(z_other, k), a))]
+                    continue
+            out += [e, a]
+        return out
+
+    def wp(self, w: Word) -> bool:
+        out = self.reduce(w)
+        return len(out) == 1 and self.ends[0][0].wp(out[0])
+
+    def cyclic_membership(self, g: Word, t: Word):
+        """k with g = t^k, or None, for a target t in one vertex group: a
+        reduced form with a crossing lies in neither factor, so g lies in
+        t's factor exactly when it reduces to one piece based there."""
+        at = self._side.get(t[0][0], 0) if t else 0
+        if len(self._pieces(t, at)) > 1:
+            raise NotImplementedError(
+                f"{type(self).__name__} decides membership only for targets "
+                "in one vertex group"
+            )
+        out = self.reduce(g, at)
+        if len(out) > 1:
+            return None
+        return self.ends[at][0].cyclic_membership(out[0], t)
+
+
+class AmalgamHandle(CyclicSplitting):
+    """Free product A *_C B of two free products of cyclics amalgamated over
+    C = <z_A> = <z_B> infinite cyclic."""
 
     def __init__(self, a: FreeProductOfCyclics, b: FreeProductOfCyclics,
                  z_a: Word, z_b: Word):
@@ -67,167 +144,25 @@ class AmalgamHandle:
         overlap = set(a.letters) & set(b.letters)
         if overlap:
             raise ValueError(f"factor letters overlap: {overlap}")
-        self.factors = (a, b)
-        self.z = (a.normal_form(z_a), b.normal_form(z_b))
+        self.ends = ((a, a.normal_form(z_a)), (b, b.normal_form(z_b)))
         self.letters = {**a.letters, **b.letters}
         self._side = {name: 0 for name in a.letters}
         self._side.update({name: 1 for name in b.letters})
 
-    # -- syllables -------------------------------------------------------------
 
-    def _split(self, w: Word) -> list[tuple[int, Word]]:
-        sylls: list[tuple[int, list]] = []
-        for name, exp in w:
-            if name not in self._side:
-                raise UnknownLetterError(f"unknown letter {name!r}")
-            side = self._side[name]
-            if sylls and sylls[-1][0] == side:
-                sylls[-1][1].append((name, exp))
-            else:
-                sylls.append((side, [(name, exp)]))
-        return [(side, tuple(ws)) for side, ws in sylls]
-
-    def _c_exponent(self, side: int, w: Word):
-        """Witness k with w = z_side^k in its factor, or None."""
-        return self.factors[side].cyclic_membership(w, self.z[side])
-
-    def pinch_reduce(self, w: Word) -> tuple[list[tuple[int, Word]], int]:
-        """Reduce to syllables none of which lies in C, except possibly a
-        single remaining C-syllable reported as ([], k) with w = z^k.
-
-        Returns (syllables, c_exp); c_exp is meaningful only when the
-        syllable list is empty.  One left-to-right pass over a stack of
-        reduced syllables: a C-syllable z^k is folded into the top together
-        with the next syllable (both lie on the other side) and the new top
-        is tested again; with the stack empty, z^k is carried into the next
-        syllable.  Every syllable below the top was already refuted, so this
-        makes the same pinches in the same order as rescanning from the
-        left after each one."""
-        todo = self._split(w)[::-1]  # the next syllable is last
-        done: list[tuple[int, Word]] = []
-        while todo:
-            side, word = todo.pop()
-            k = self._c_exponent(side, word)
-            if k is None:
-                done.append((side, word))
-                continue
-            if done:
-                side, word = done.pop()
-                if k or todo:  # else the top stays as it was
-                    nxt = todo.pop()[1] if todo else EMPTY
-                    word = self.factors[side].normal_form(
-                        concat(word, power(self.z[side], k), nxt)
-                    )
-                todo.append((side, word))
-            elif not todo:
-                return [], k
-            elif k:
-                side, word = todo.pop()
-                todo.append((side, self.factors[side].normal_form(
-                    concat(power(self.z[side], k), word)
-                )))
-        return done, 0
-
-    # -- contract ---------------------------------------------------------------
-
-    def wp(self, w: Word) -> bool:
-        sylls, k = self.pinch_reduce(w)
-        return not sylls and k == 0
-
-    def cyclic_membership(self, g: Word, t: Word):
-        """k with g = t^k, or None, for a target t in one factor.
-
-        A pinch-reduced word of two or more syllables lies in neither
-        factor (normal form theorem), so g lies in t's factor exactly when
-        it reduces to z^k or to one syllable on that side."""
-        sylls = self._split(t)
-        if len(sylls) > 1:
-            raise NotImplementedError(
-                "AmalgamHandle decides membership only for targets in one factor"
-            )
-        side, t_word = sylls[0] if sylls else (0, EMPTY)
-        g_sylls, k = self.pinch_reduce(g)
-        if not g_sylls:
-            word = power(self.z[side], k)
-        elif len(g_sylls) == 1 and g_sylls[0][0] == side:
-            word = g_sylls[0][1]
-        else:
-            return None
-        return self.factors[side].cyclic_membership(word, t_word)
-
-
-# ---------------------------------------------------------------------------
-# HNN extensions of a free product of cyclics with cyclic associated subgroups
-# ---------------------------------------------------------------------------
-
-class HNNHandle:
+class HNNHandle(CyclicSplitting):
     """HNN extension < A, t : t^-1 u t = v > with u, v of infinite order in
-    the base A.  Pinches follow Britton's lemma: t^-1 u^k t -> v^k and
-    t v^k t^-1 -> u^k."""
+    the base A: t^-1 u^k t -> v^k and t v^k t^-1 -> u^k."""
 
     def __init__(self, base: FreeProductOfCyclics, stable: str, u: Word, v: Word):
         if base.elem_order(u) != 0 or base.elem_order(v) != 0:
             raise ValueError("associated subgroup generators must have infinite order")
         if stable in base.letters:
             raise ValueError("stable letter collides with a base letter")
-        self.base = base
+        self.ends = ((base, base.normal_form(u)), (base, base.normal_form(v)))
         self.stable = stable
-        self.u = base.normal_form(u)
-        self.v = base.normal_form(v)
         self.letters = {**base.letters, stable: 0}
-
-    def _tokens(self, w: Word):
-        """Alternating [word-in-A, +-1, word-in-A, ...] token list."""
-        toks: list = [EMPTY]
-        for name, exp in w:
-            if name == self.stable:
-                step = 1 if exp > 0 else -1
-                for _ in range(abs(exp)):
-                    toks.append(step)
-                    toks.append(EMPTY)
-            elif name in self.base.letters:
-                toks[-1] = concat(toks[-1], ((name, exp),))
-            else:
-                raise UnknownLetterError(f"unknown letter {name!r}")
-        return toks
-
-    def _pinch(self, e: int, a: Word):
-        """The base word equal to t^e a t^-e, or None when a is not in the
-        associated subgroup the pinch needs (<u> for e = -1, <v> for e = 1)."""
-        inner, outer = (self.u, self.v) if e < 0 else (self.v, self.u)
-        k = self.base.cyclic_membership(a, inner)
-        return None if k is None else power(outer, k)
-
-    def _britton(self, toks: list) -> list:
-        """Britton reduction in one left-to-right pass: a pinch changes only
-        the top piece, and every t-pair below it was already refuted."""
-        out = [toks[0]]
-        for i in range(1, len(toks), 2):
-            e, a = toks[i], toks[i + 1]
-            if len(out) > 1 and out[-2] == -e:
-                rep = self._pinch(out[-2], out[-1])
-                if rep is not None:
-                    out[-3:] = [self.base.normal_form(concat(out[-3], rep, a))]
-                    continue
-            out += [e, a]
-        return out
-
-    def wp(self, w: Word) -> bool:
-        toks = self._britton(self._tokens(w))
-        return len(toks) == 1 and self.base.wp(toks[0])
-
-    def cyclic_membership(self, g: Word, t: Word):
-        """k with g = t^k, or None, for a target t in the base.  By
-        Britton's lemma g lies in the base exactly when its reduction keeps
-        no stable letter."""
-        if any(name == self.stable for name, _ in t):
-            raise NotImplementedError(
-                "HNNHandle decides membership only for targets in the base"
-            )
-        toks = self._britton(self._tokens(g))
-        if len(toks) > 1:
-            return None
-        return self.base.cyclic_membership(toks[0], t)
+        self._side = dict.fromkeys(base.letters, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -76,11 +76,13 @@ def boundary_mismatches(
     Teardrops and spindles are Scott's bad 2-orbifolds (1983, §2).  On the
     black side b^label has order sigma/gcd(sigma, |label|) by construction.
     """
-    for w in g.whites:
-        if w.genus:
-            continue
-        curves = [(e, k) for e in g.edges_at_white(w.name)
-                  if (k := edge_group_order(sigma[e.black], e.label)) != 1]
+    curves_at = {w.name: [] for w in g.whites if not w.genus}
+    for e in g.edges:
+        if e.white in curves_at:
+            k = edge_group_order(sigma[e.black], e.label)
+            if k != 1:
+                curves_at[e.white].append((e, k))
+    for curves in curves_at.values():
         if len(curves) in (1, 2):
             computed = 1 if len(curves) == 1 else gcd(*(k for _, k in curves))
             yield from ((e, computed, k) for e, k in curves if k != computed)

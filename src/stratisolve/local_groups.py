@@ -1,8 +1,9 @@
 """Vertex-group handles, and normal forms in free products of cyclic groups.
 
 A handle is a vertex group of the graph of groups.  Its class is its kind;
-every handle class (this module's ``FreeProductOfCyclics`` and the
-amalgam, HNN and triangle handles of :mod:`fgroup_handles`) provides what
+every handle class (this module's ``FreeProductOfCyclics``, and in
+:mod:`fgroup_handles` the amalgam and HNN handles, which share one reduction
+as ``CyclicSplitting`` subclasses, and the triangle handle) provides what
 the graph-of-groups splice needs:
 
   letters                          letter name -> order (0 = infinite)

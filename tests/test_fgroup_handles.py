@@ -1,9 +1,11 @@
+import hashlib
 import itertools
 import random
 from math import lcm
 
 import pytest
 
+from stratisolve.errors import UnknownLetterError
 from stratisolve.fgroup_handles import (
     AmalgamHandle,
     HNNHandle,
@@ -129,44 +131,47 @@ def test_hnn_elem_order_and_membership():
         h.cyclic_membership(b, (("t", 1),))
 
 
-# -- one-pass pinch and Britton reductions ---------------------------------------
+# -- the one reduction: pieces between crossings of one edge -------------------
 
 A, B = (("a", 1),), (("b", 1),)
 
 
 def test_pinch_carries_a_leading_c_syllable_right():
-    # a^2 = z_A = z_B = b^-2 is carried into b: b^-2 b = b^-1
-    assert klein_bottle().pinch_reduce((("a", 2), ("b", 1), ("a", 1))) == (
-        [(1, (("b", -1),)), (0, A)], 0
-    )
+    # based at B's end: a^2 = z_A between crossings becomes z_B = b^-2, which
+    # merges into b: b^-2 b = b^-1
+    assert klein_bottle().reduce((("a", 2), ("b", 1), ("a", 1)), at=1) == [
+        (("b", -1),), -1, A, 1, ()
+    ]
 
 
 def test_pinch_cascades_leftwards():
     # a^2 folds b . b^-1 into b^-2 = z_B, which then folds into a: a a^2
     w = concat(A, B, (("a", 2),), inverse(B))
-    assert klein_bottle().pinch_reduce(w) == ([(0, (("a", 3),))], 0)
+    assert klein_bottle().reduce(w) == [(("a", 3),)]
 
 
 def test_pinch_collapses_to_a_single_c_element():
     w = concat(A, B, (("a", 2),), inverse(B), inverse(A))
-    assert klein_bottle().pinch_reduce(w) == ([], 1)
-    assert klein_bottle().pinch_reduce(power(w, -3)) == ([], -3)
+    h = klein_bottle()
+    assert h.reduce(w) == [(("a", 2),)]
+    assert h.reduce(w, at=1) == [(("b", -2),)]
+    assert h.reduce(power(w, -3)) == [(("a", -6),)]
 
 
 def test_britton_nested_cascade():
     h = bs_1_2()
     t, ti = (("t", 1),), (("t", -1),)
     # t^-1 (t^-1 b t) t = t^-1 b^2 t = b^4
-    assert h._britton(h._tokens(concat(ti, ti, B, t, t))) == [(("b", 4),)]
+    assert h.reduce(concat(ti, ti, B, t, t)) == [(("b", 4),)]
     # t (b^-1 (t^-1 b t) b^-1) t^-1: the outer pair pinches only after
     # the inner one has emptied the piece between them
     w = concat(t, inverse(B), ti, B, t, inverse(B), ti)
-    assert h._britton(h._tokens(w)) == [()]
+    assert h.reduce(w) == [()]
     # the merged top b^2 b^2 meets the next pair: b^4 (t^-1 b t) = b^6
     w = concat(ti, B, t, (("b", 2),), ti, B, t)
-    assert h._britton(h._tokens(w)) == [(("b", 6),)]
+    assert h.reduce(w) == [(("b", 6),)]
     # the pair t b t^-1 is not pinchable: b is not in <b^2>
-    assert h._britton(h._tokens(concat(t, B, ti))) == [(), 1, B, -1, ()]
+    assert h.reduce(concat(t, B, ti)) == [(), 1, B, -1, ()]
 
 
 def test_hnn_membership_of_targets_conjugate_into_the_base():
@@ -196,11 +201,12 @@ def test_hnn_membership_finds_every_power(genus, curve):
     h = white_handle(spec([] if curve is None else [curve], genus, 2 * genus)).handle
     assert isinstance(h, HNNHandle)
     s = h.stable
-    relator = concat(((s, -1),), h.u, ((s, 1),), inverse(h.v))
+    (base, u), (_, v) = h.ends
+    relator = concat(((s, -1),), u, ((s, 1),), inverse(v))
     assert h.wp(relator)
     rng = random.Random(10 * genus + (curve or 0))
     letters = sorted(h.letters)
-    base_letters = sorted(h.base.letters)
+    base_letters = sorted(base.letters)
     for _ in range(40):
         t = _random_word(rng, base_letters, rng.randint(1, 4))
         x = _random_word(rng, letters, rng.randint(0, 3))
@@ -531,15 +537,14 @@ def test_multi_boundary_positive_genus_amalgam():
 ])
 def test_one_pass_reductions_leave_no_pinch(genus, orders):
     """Random words rich in conjugated C-elements (amalgams) or pinchable
-    t-pairs (HNN): the reduced form alternates, nothing left in it can be
-    pinched, and it equals the input."""
+    t-pairs (HNN): nothing left in the reduced form can be pinched, and it
+    equals the input."""
     n = 2 * genus if genus > 0 else -genus
     h = white_handle(spec(orders, genus, n)).handle
-    if isinstance(h, AmalgamHandle):
-        pinchable = list(h.z)
-    else:
-        s = h.stable
-        pinchable = [((s, -1),) + h.u + ((s, 1),), ((s, 1),) + h.v + ((s, -1),)]
+    (_, z0), (_, z1) = h.ends
+    # a crossing is empty in an amalgam and the stable letter in an HNN handle
+    cross = {e: ((h.stable, e),) if h.stable else () for e in (1, -1)}
+    pinchable = [concat(cross[-1], z0, cross[1]), concat(cross[1], z1, cross[-1])]
     rng = random.Random(7 * genus + len(orders))
     letters = sorted(h.letters)
     for _ in range(60):
@@ -549,21 +554,12 @@ def test_one_pass_reductions_leave_no_pinch(genus, orders):
             p = power(rng.choice(pinchable), rng.randint(-2, 2))
             parts += [x, p, inverse(x), _random_word(rng, letters, rng.randint(0, 2))]
         w = concat(*parts)
-        if isinstance(h, AmalgamHandle):
-            sylls, k = h.pinch_reduce(w)
-            sides = [side for side, _ in sylls]
-            assert all(a != b for a, b in zip(sides, sides[1:]))
-            assert all(h._c_exponent(side, x) is None for side, x in sylls)
-            reduced = concat(*(x for _, x in sylls)) if sylls else power(h.z[0], k)
-        else:
-            toks = h._britton(h._tokens(w))
-            assert all(e in (1, -1) for e in toks[1::2])
-            for i in range(1, len(toks) - 2, 2):
-                assert toks[i] != -toks[i + 2] or h._pinch(toks[i], toks[i + 1]) is None
-            reduced = concat(*(
-                tok if i % 2 == 0 else ((h.stable, tok),)
-                for i, tok in enumerate(toks)
-            ))
+        out = h.reduce(w)
+        assert all(e in (1, -1) for e in out[1::2])
+        for i in range(1, len(out) - 2, 2):
+            group, z = h.ends[0 if out[i + 2] > 0 else 1]
+            assert out[i] != -out[i + 2] or group.cyclic_membership(out[i + 1], z) is None
+        reduced = concat(*(x if i % 2 == 0 else cross[x] for i, x in enumerate(out)))
         assert h.wp(concat(w, inverse(reduced)))
 
 
@@ -626,3 +622,72 @@ def test_membership_refuses_targets_outside_one_factor():
     assert isinstance(triangle, TriangleHandle)
     with pytest.raises(NotImplementedError):
         triangle.cyclic_membership((("c1", 1),), (("c1", 1), ("c2", 1)))
+
+
+def test_splitting_errors_name_the_bad_letter_or_target():
+    """On both kinds of splitting, an unknown letter anywhere raises
+    UnknownLetterError, and a target outside one vertex group (letters of
+    both factors, or the stable letter) raises NotImplementedError."""
+    zz = (("zz", 1),)
+    amalgams = ((klein_bottle(), "a", "b"),
+                (white_handle(spec([2, 2, 2, 2], 0, 0)).handle, "c1", "c3"))
+    for h, a, b in amalgams:
+        a, b = ((a, 1),), ((b, 1),)
+        with pytest.raises(UnknownLetterError):
+            h.wp(concat(a, zz))
+        with pytest.raises(UnknownLetterError):
+            h.cyclic_membership(concat(b, zz), a)
+        with pytest.raises(UnknownLetterError):
+            h.cyclic_membership(a, concat(a, zz))
+        for t in (concat(a, b), concat(b, a)):
+            with pytest.raises(NotImplementedError):
+                h.cyclic_membership(a, t)
+    for h, x in ((bs_1_2(), "b"), (white_handle(spec([3], 1, 2)).handle, "c1")):
+        x, s = ((x, 1),), ((h.stable, 1),)
+        with pytest.raises(UnknownLetterError):
+            h.wp(concat(s, zz))
+        with pytest.raises(UnknownLetterError):
+            h.cyclic_membership(concat(x, zz), x)
+        with pytest.raises(UnknownLetterError):
+            h.cyclic_membership(x, concat(x, zz))
+        # also when g does not reduce into the base
+        with pytest.raises(UnknownLetterError):
+            h.cyclic_membership(s, concat(x, zz))
+        for t in (s, concat(x, s, x)):
+            with pytest.raises(NotImplementedError):
+                h.cyclic_membership(x, t)
+
+
+def test_splitting_answers_are_pinned():
+    """wp and every membership witness of the amalgam and HNN handles that
+    white_handle builds, on seeded words with conjugated relators spliced
+    in, hash to a fixed value.  The genus-0 spheres with four curves put
+    the images c3, c4 in the second factor."""
+    digest = hashlib.sha256()
+    tuples = [(2,), (3,), (2, 3), (2, 2, 2, 2), (2, 3, 4, 5)]
+    handles = 0
+    for genus in range(-4, 5):
+        n = 2 * genus if genus > 0 else -genus
+        for orders in tuples:
+            wh = white_handle(spec(orders, genus, n))
+            h = wh.handle
+            if not isinstance(h, (AmalgamHandle, HNNHandle)):
+                continue
+            handles += 1
+            images = [wh.boundary_images[f"c{i + 1}"] for i in range(len(orders))]
+            q = genus_word(tuple(f"y{i + 1}" for i in range(n)), genus)
+            relators = [concat(*images, q)] + [power(c, k) for c, k in zip(images, orders) if k]
+            letters = sorted(h.letters)
+            targets = [c for c in images if c]
+            targets += [((x, 1),) for x in letters if x != h.stable]
+            rng = random.Random(100 * genus + 10 * len(orders) + sum(orders))
+            for i in range(60):
+                x = _random_word(rng, letters, rng.randint(0, 3))
+                r = power(rng.choice(relators), rng.choice((-1, 1)))
+                g = concat(power(rng.choice(targets), rng.randint(-3, 3)),
+                           x, r, inverse(x))
+                if i % 3 == 0:
+                    g = _random_word(rng, letters, rng.randint(0, 8))
+                digest.update(repr((h.wp(g), [h.cyclic_membership(g, t) for t in targets])).encode())
+    assert handles == 40
+    assert digest.hexdigest()[:16] == "0383df39a8b2c92d"
