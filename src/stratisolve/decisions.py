@@ -1,39 +1,37 @@
 """Decision corollaries built on the word-problem solver.
 
-* abelianness: all pairwise generator commutators trivial;
+* abelianness: a generating set commutes pairwise, each commutator a word
+  decided in the compiled graph of groups;
 * order of a black vertex on a 0-terminal edge (terminal genus-0 white);
-* simple connectivity, with the pruning procedure as a cross-checked fast
-  path on graphs passing the necessary-condition screen (tree, all whites
-  genus 0, all terminal vertices white);
+* simple connectivity of a graph passing the necessary-condition screen
+  (tree, all whites genus 0, all terminal vertices white): every certified
+  circle order is 1, cross-checked by the pruning procedure;
 * wedge recognition: a simply-connected stratifold is homotopy equivalent
   to a wedge of (#whites - #blacks) 2-spheres.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InternalError, NotApplicableError, NotZeroTerminalError
+from .gog import to_loop_word
 from .graph_model import StratifoldGraph, breadth_first
 from .pipeline import compile
-from .serre_solver import word_problem
-
-
-def _solve(g: StratifoldGraph, word_text: str, budget) -> bool:
-    return word_problem(g, word_text, budget).trivial
+from .serre_solver import solve
 
 
 def is_abelian(g: StratifoldGraph, budget=None) -> bool:
-    """True iff every pairwise commutator of the natural generators is
-    trivial.  Raises UndeterminedError when orders cannot be certified."""
-    gens = compile(g, budget).pres.generators
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            a, b = gens[i], gens[j]
-            comm = f"{a} * {b} * {a}^-1 * {b}^-1"
-            if not _solve(g, comm, budget):
-                return False
-    return True
+    """True iff the ``y.`` and ``t.`` generators and the circles of order
+    other than 1 commute; they generate the group, as each curve is ``b^m``
+    or ``t b^m t^-1``.  Raises UndeterminedError when orders are uncertified."""
+    compiled = compile(g, budget)
+    gog = compiled.gog
+    gens = [x for x in compiled.pres.generators
+            if x[0] in "yt" or x[0] == "b" and gog.sigma[x[2:]] != 1]
+    return all(solve(gog, to_loop_word(gog, ((a, 1), (b, 1), (a, -1), (b, -1))))
+               .trivial for a, b in combinations(gens, 2))
 
 
 def zero_terminal_order(g: StratifoldGraph, black: str, budget=None) -> int:
@@ -142,12 +140,14 @@ def prune(g: StratifoldGraph, budget=None) -> PruneReport:
 
 
 def is_simply_connected(g: StratifoldGraph, budget=None) -> bool:
-    """All natural generators trivial; screened by the necessary
-    conditions, cross-checked against pruning when the screen passes."""
+    """True iff the screen passes and every certified circle order is 1: a
+    screened graph is a tree of genus-0 whites, and its circles generate its
+    group (each ``c = b^m``).  Cross-checked against pruning."""
     if _screen(g) is not None:
         return False
-    gens = compile(g, budget).pres.generators
-    result = all(_solve(g, gen, budget) for gen in gens)
+    orders = compile(g, budget).orders
+    orders.require_exact()
+    result = all(s == 1 for s in orders.sigma.values())
     if prune(g, budget).success != result:
         raise InternalError("pruning disagrees with the generator check")
     return result
