@@ -5,7 +5,7 @@
 * order of a black vertex on a 0-terminal edge (terminal genus-0 white);
 * simple connectivity of a graph passing the necessary-condition screen
   (tree, all whites genus 0, all terminal vertices white): every certified
-  circle order is 1, cross-checked by the pruning procedure;
+  circle order is 1;
 * wedge recognition: a simply-connected stratifold is homotopy equivalent
   to a wedge of (#whites - #blacks) 2-spheres.
 """
@@ -101,12 +101,17 @@ def _components(whites, blacks, edges) -> tuple[StratifoldGraph, ...]:
 
 
 def prune(g: StratifoldGraph, budget=None) -> PruneReport:
-    """Repeatedly compute the order at a 0-terminal pair; delete the pair
-    when the order is 1, stop otherwise.  Success means every surviving
-    component is edgeless."""
+    """Repeatedly read the order at a 0-terminal pair; delete the pair when
+    the order is 1, stop otherwise.  Success means every surviving
+    component is edgeless.  Each order is read off ``g``, compiled once: a
+    deleted circle has order 1, so adding it as a relator splits the group
+    into the free product of the components left, and a free factor embeds
+    (Lyndon-Schupp, free products)."""
     reason = _screen(g)
     if reason is not None:
         raise NotApplicableError(reason)
+    orders = compile(g, budget).orders
+    orders.require_exact()
     steps: list[PruneStep] = []
     pending = [g]
     finals: list[StratifoldGraph] = []
@@ -116,16 +121,14 @@ def prune(g: StratifoldGraph, budget=None) -> PruneReport:
             finals.append(comp)
             continue
         # a tree whose terminals are all white has a 0-terminal pair
-        pair = None
-        for w in comp.white_names():
-            edges = comp.edges_at_white(w)
+        for white in comp.white_names():
+            edges = comp.edges_at_white(white)
             if len(edges) == 1:
-                pair = (edges[0].black, w)
                 break
-        if pair is None:
+        else:
             raise InternalError("tree with white terminals lost its leaves")
-        black, white = pair
-        order = zero_terminal_order(comp, black, budget)
+        black = edges[0].black
+        order = orders.sigma[black]
         if order != 1:
             steps.append(PruneStep(black, white, order, "stop"))
             finals.append(comp)
@@ -142,15 +145,12 @@ def prune(g: StratifoldGraph, budget=None) -> PruneReport:
 def is_simply_connected(g: StratifoldGraph, budget=None) -> bool:
     """True iff the screen passes and every certified circle order is 1: a
     screened graph is a tree of genus-0 whites, and its circles generate its
-    group (each ``c = b^m``).  Cross-checked against pruning."""
+    group (each ``c = b^m``), so ``prune`` succeeds exactly when this holds."""
     if _screen(g) is not None:
         return False
     orders = compile(g, budget).orders
     orders.require_exact()
-    result = all(s == 1 for s in orders.sigma.values())
-    if prune(g, budget).success != result:
-        raise InternalError("pruning disagrees with the generator check")
-    return result
+    return all(s == 1 for s in orders.sigma.values())
 
 
 def wedge_check(g: StratifoldGraph, budget=None):

@@ -63,19 +63,18 @@ class Presentation(NamedTuple):
 
 
 def natural_presentation(g: StratifoldGraph, t: MaximalTree) -> Presentation:
+    curves_at: dict[str, list[str]] = {w.name: [] for w in g.whites}
+    for e in g.edges:
+        curves_at[e.white].append(f"c.{e.name}")
     gens: list[str] = [f"b.{b}" for b in g.black_names()]
-    for w in g.white_names():
-        gens.extend(f"c.{e.name}" for e in g.edges_at_white(w))
-        gens.extend(surface_names(w, g.white(w).genus))
-    gens.extend(f"t.{e.name}" for e in g.edges if e.name not in t.tree_edges)
-
     relators: list[Word] = []
-    for w in g.white_names():
-        boundary = tuple((f"c.{e.name}", 1) for e in g.edges_at_white(w))
-        genus = g.white(w).genus
-        relators.append(
-            concat(boundary, genus_word(surface_names(w, genus), genus))
-        )
+    for w in g.whites:
+        curves, surface = curves_at[w.name], surface_names(w.name, w.genus)
+        gens.extend(curves)
+        gens.extend(surface)
+        relators.append(concat(tuple((c, 1) for c in curves),
+                               genus_word(surface, w.genus)))
+    gens.extend(f"t.{e.name}" for e in g.edges if e.name not in t.tree_edges)
     for e in g.edges:
         if e.name in t.tree_edges:
             relators.append(

@@ -8,6 +8,8 @@ from test_acceptance import _random_valid_graph
 import stratisolve.decisions as decisions
 import stratisolve.serre_solver as serre_solver
 from stratisolve.decisions import (
+    PruneReport,
+    PruneStep,
     _screen,
     is_abelian,
     is_simply_connected,
@@ -20,7 +22,7 @@ from stratisolve.errors import (
     NotZeroTerminalError,
     UndeterminedError,
 )
-from stratisolve.graph_model import parse_graph
+from stratisolve.graph_model import parse_graph, serialize_graph
 from stratisolve.oracle import Budget
 from stratisolve.pipeline import compile
 
@@ -204,4 +206,116 @@ def test_decisions_agree_with_their_definitions(fixtures):
         reached["undetermined"] += ab is UndeterminedError
         reached["simply connected"] += simple is True
     # the pool reaches every branch of both definitions
+    assert min(reached.values()) > 0, reached
+
+
+def _screened_tree(rng, max_blacks):
+    """A random tree that passes the screen: genus-0 whites, each black hung
+    off a placed white with one to three new white leaves."""
+    lines, whites = ["white w0 genus 0"], ["w0"]
+    for i in range(1, rng.randint(1, max_blacks) + 1):
+        ends = [rng.choice(whites)]
+        for _ in range(rng.randint(1, 3)):
+            ends.append(f"w{len(whites)}")
+            whites.append(ends[-1])
+            lines.append(f"white {ends[-1]} genus 0")
+        labels = [0]
+        while sum(map(abs, labels)) < 3:
+            labels = [rng.choice((1, -1, 2, 3)) for _ in ends]
+        lines.append(f"black b{i}")
+        lines += [f"edge e{i}{w} {w} b{i} {m}" for w, m in zip(ends, labels)]
+    return parse_graph("\n".join(lines) + "\n")
+
+
+# w1 is a disk on b1 (order 1); once it goes, b2 is capped by two label-3
+# disks, so the second step stops on order 3
+_DELETE_THEN_STOP = parse_graph(
+    "white w1 genus 0\nwhite w2 genus 0\nwhite w3 genus 0\n"
+    "black b1\nblack b2\n"
+    "edge e1 w1 b1 1\nedge e2 w2 b1 2\nedge e3 w2 b2 3\nedge e4 w3 b2 3\n"
+)
+
+
+def test_decisions_compile_each_graph_once(fixtures, monkeypatch):
+    """``prune`` reads every order off the graph it is given, compiled once,
+    and ``sc`` and ``wedge`` read the same orders without pruning."""
+    multi = parse_graph(
+        "white w1 genus 0\nwhite w2 genus 0\nwhite w3 genus 0\n"
+        "black b1\nblack b2\n"
+        "edge e1 w1 b1 1\nedge e2 w2 b1 3\nedge e3 w2 b2 3\nedge e4 w3 b2 1\n"
+    )
+
+    def refuse(*args):
+        raise AssertionError("a pruning step compiled its component")
+
+    with monkeypatch.context() as m:
+        m.setattr(decisions, "zero_terminal_order", refuse)
+        assert prune(fixtures["FX-S2W"]).success
+        assert not prune(fixtures["FX-Z3"]).success
+        assert len(prune(multi).steps) == 2
+        assert is_simply_connected(fixtures["FX-S2W"])
+        assert wedge_check(fixtures["FX-S2W"]) == 1
+    seen = []
+
+    def counting(g, budget=None):
+        seen.append(g)
+        return compile(g, budget)
+
+    monkeypatch.setattr(decisions, "compile", counting)
+    for g in (fixtures["FX-S2W"], fixtures["FX-Z3"], multi, _DELETE_THEN_STOP):
+        seen.clear()
+        prune(g)
+        assert seen == [g]
+
+
+def _old_prune(g, budget=None):
+    """The pruning procedure as first defined: each step compiles its
+    component and asks ``zero_terminal_order`` there."""
+    reason = _screen(g)
+    if reason is not None:
+        raise NotApplicableError(reason)
+    steps, pending, finals = [], [g], []
+    while pending:
+        comp = pending.pop()
+        if not comp.edges:
+            finals.append(comp)
+            continue
+        white = next(w for w in comp.white_names()
+                     if len(comp.edges_at_white(w)) == 1)
+        black = comp.edges_at_white(white)[0].black
+        order = zero_terminal_order(comp, black, budget)
+        if order != 1:
+            steps.append(PruneStep(black, white, order, "stop"))
+            return PruneReport(tuple(steps), (*finals, comp, *pending), False)
+        steps.append(PruneStep(black, white, order, "delete"))
+        pending.extend(decisions._components(
+            tuple(x for x in comp.whites if x.name != white),
+            tuple(x for x in comp.blacks if x.name != black),
+            tuple(e for e in comp.edges if e.black != black)))
+    return PruneReport(tuple(steps), tuple(finals),
+                       all(not c.edges for c in finals))
+
+
+def _prune_outcome(decide, g, budget):
+    try:
+        r = decide(g, budget)
+    except Exception as exc:  # the class and message are the outcome
+        return type(exc), str(exc)
+    return (r.steps, tuple(serialize_graph(c) for c in r.final_components),
+            r.success)
+
+
+def test_prune_agrees_with_its_old_definition(fixtures):
+    # a small budget keeps the failed searches of undetermined trees cheap
+    rng, small = random.Random(28), Budget(4, 40, 20)
+    graphs = [(g, None) for g in (*fixtures.values(), _DELETE_THEN_STOP)]
+    graphs += [(_screened_tree(rng, 5), small) for _ in range(200)]
+    reached = Counter({"multi-step success": 0, "stop after step 1": 0})
+    for g, budget in graphs:
+        outcome = _prune_outcome(prune, g, budget)
+        assert outcome == _prune_outcome(_old_prune, g, budget), serialize_graph(g)
+        if len(outcome) == 3:
+            steps, _, success = outcome
+            reached["multi-step success"] += success and len(steps) > 1
+            reached["stop after step 1"] += not success and len(steps) > 1
     assert min(reached.values()) > 0, reached

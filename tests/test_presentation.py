@@ -10,7 +10,7 @@ from stratisolve.errors import (
     UnknownGeneratorError,
     WordSyntaxError,
 )
-from stratisolve.graph_model import canonical_tree, parse_graph
+from stratisolve.graph_model import StratifoldGraph, canonical_tree, parse_graph
 from stratisolve.presentation import (
     abelianization,
     format_word,
@@ -72,6 +72,22 @@ def test_generator_counts_match_graph(fixtures):
         n_stable = sum(1 for x in p.generators if x.startswith("t."))
         assert n_boundary == len(g.edges)
         assert n_stable == len(g.edges) - len(t.tree_edges)
+
+
+def test_presentation_groups_the_edges_in_one_pass(fixtures, monkeypatch):
+    """The presentation reads each white's curves from one grouping of the
+    edges, not from a scan of the graph per white."""
+    graphs = [*fixtures.values(), _disk_capped_chain(8)]
+    trees = [canonical_tree(g) for g in graphs]
+    expected = [natural_presentation(g, t) for g, t in zip(graphs, trees)]
+
+    def refuse(*args):
+        raise AssertionError("the presentation scanned the graph per white")
+
+    monkeypatch.setattr(StratifoldGraph, "edges_at_white", refuse)
+    monkeypatch.setattr(StratifoldGraph, "white", refuse)
+    for g, t, p in zip(graphs, trees, expected):
+        assert natural_presentation(g, t) == p
 
 
 def test_parse_and_format_roundtrip():
