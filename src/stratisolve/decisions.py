@@ -12,12 +12,13 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import combinations
 from typing import NamedTuple
 
 from .errors import InternalError, NotApplicableError, NotZeroTerminalError
 from .gog import to_loop_word
-from .graph_model import StratifoldGraph, breadth_first
+from .graph_model import StratifoldGraph, breadth_first, edges_by_white
 from .pipeline import compile
 from .serre_solver import solve
 
@@ -67,18 +68,15 @@ class PruneReport(NamedTuple):
 def _screen(g: StratifoldGraph):
     """The necessary conditions for simple connectivity; None if all hold,
     else a description of the first failure."""
-    n_vertices = len(g.whites) + len(g.blacks)
-    if len(g.edges) != n_vertices - 1:
+    if len(g.edges) != len(g.whites) + len(g.blacks) - 1:
         return "graph is not a tree"
     for w in g.whites:
         if w.genus != 0:
             return f"white vertex {w.name!r} has genus {w.genus} != 0"
+    at, black_degree = edges_by_white(g), Counter(e.black for e in g.edges)
     for e in g.edges:
         # a terminal edge must end in a terminal white vertex
-        if (
-            len(g.edges_at_black(e.black)) == 1
-            and len(g.edges_at_white(e.white)) > 1
-        ):
+        if black_degree[e.black] == 1 and len(at[e.white]) > 1:
             return f"terminal edge {e.name!r} ends in black vertex {e.black!r}"
     return None
 
@@ -90,8 +88,10 @@ def _components(whites, blacks, edges) -> tuple[StratifoldGraph, ...]:
         if link is None:  # a root starts the next component
             comps.append(set())
         comps[-1].add(v)
+    # valid and in name order, not validated again: a black left keeps its edges
+    # and sheets, a deleted white had one edge, to the deleted black, BFS connects
     return tuple(
-        StratifoldGraph(
+        StratifoldGraph._sorted_and_valid(
             tuple(w for w in whites if w.name in comp),
             tuple(b for b in blacks if b.name in comp),
             tuple(e for e in edges if e.white in comp),
@@ -121,8 +121,7 @@ def prune(g: StratifoldGraph, budget=None) -> PruneReport:
             finals.append(comp)
             continue
         # a tree whose terminals are all white has a 0-terminal pair
-        for white in comp.white_names():
-            edges = comp.edges_at_white(white)
+        for white, edges in edges_by_white(comp).items():
             if len(edges) == 1:
                 break
         else:
@@ -134,10 +133,10 @@ def prune(g: StratifoldGraph, budget=None) -> PruneReport:
             finals.append(comp)
             return PruneReport(tuple(steps), tuple(finals + pending), False)
         steps.append(PruneStep(black, white, order, "delete"))
-        keep_whites = tuple(x for x in comp.whites if x.name != white)
-        keep_blacks = tuple(x for x in comp.blacks if x.name != black)
-        keep_edges = tuple(e for e in comp.edges if e.black != black)
-        pending.extend(_components(keep_whites, keep_blacks, keep_edges))
+        pending.extend(_components(
+            tuple(x for x in comp.whites if x.name != white),
+            tuple(x for x in comp.blacks if x.name != black),
+            tuple(e for e in comp.edges if e.black != black)))
     success = all(not c.edges for c in finals)
     return PruneReport(tuple(steps), tuple(finals), success)
 

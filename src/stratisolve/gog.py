@@ -2,8 +2,9 @@
 
 Vertex groups: a black vertex carries the cyclic group on its ``b.`` letter
 of the resolved order sigma (0 = infinite); a white vertex carries the
-classified handle from :mod:`fgroup_handles`.  The edge group of an edge
-with label m into a black vertex of order sigma is cyclic of order
+classified handle from :mod:`fgroup_handles`, and the build groups the
+edges by white once.  The edge group of an edge with label m into a black
+vertex of order sigma is cyclic of order
 
     k = sigma / gcd(sigma, |m|)     (k = 0 when sigma = 0)
 
@@ -25,7 +26,7 @@ from typing import Iterator, Mapping, NamedTuple
 
 from .errors import InjectivityError, UnknownGeneratorError
 from .fgroup_handles import WhiteGroupSpec, WhiteHandle, white_handle
-from .graph_model import Edge, MaximalTree, StratifoldGraph
+from .graph_model import Edge, MaximalTree, StratifoldGraph, WhiteVertex, edges_by_white
 from .local_groups import FreeProductOfCyclics
 from .presentation import surface_names
 from .words import EMPTY, Word, concat, power
@@ -38,18 +39,16 @@ def edge_group_order(sigma: int, label: int) -> int:
     return sigma // gcd(sigma, abs(label))
 
 
-def build_white_handle(
-    g: StratifoldGraph, w: str, sigma: dict[str, int]
-) -> WhiteHandle:
-    """Classify the white vertex group under the order assignment sigma."""
-    edges, genus = g.edges_at_white(w), g.white(w).genus
+def build_white_handle(w: WhiteVertex, edges, sigma) -> WhiteHandle:
+    """Classify the group of the white ``w``, with ``edges`` its edges in name
+    order (from one ``edges_by_white`` per build), under the orders sigma."""
     spec = WhiteGroupSpec(
         boundary_names=tuple(f"c.{e.name}" for e in edges),
         boundary_orders=tuple(
             edge_group_order(sigma[e.black], e.label) for e in edges
         ),
-        genus=genus,
-        surface_names=surface_names(w, genus),
+        genus=w.genus,
+        surface_names=surface_names(w.name, w.genus),
     )
     return white_handle(spec)
 
@@ -76,13 +75,12 @@ def boundary_mismatches(
     Teardrops and spindles are Scott's bad 2-orbifolds (1983, §2).  On the
     black side b^label has order sigma/gcd(sigma, |label|) by construction.
     """
-    curves_at = {w.name: [] for w in g.whites if not w.genus}
-    for e in g.edges:
-        if e.white in curves_at:
-            k = edge_group_order(sigma[e.black], e.label)
-            if k != 1:
-                curves_at[e.white].append((e, k))
-    for curves in curves_at.values():
+    at = edges_by_white(g)
+    for w in g.whites:
+        if w.genus:
+            continue
+        curves = [(e, k) for e in at[w.name]
+                  if (k := edge_group_order(sigma[e.black], e.label)) != 1]
         if len(curves) in (1, 2):
             computed = 1 if len(curves) == 1 else gcd(*(k for _, k in curves))
             yield from ((e, computed, k) for e, k in curves if k != computed)
@@ -120,9 +118,10 @@ class GraphOfGroups:
         self.tree = tree
         self.sigma = MappingProxyType(dict(sigma))
         self.basepoint = tree.basepoint
+        at = edges_by_white(graph)
         self.white_handles = MappingProxyType({
-            w: build_white_handle(graph, w, self.sigma)
-            for w in graph.white_names()
+            w.name: build_white_handle(w, at[w.name], self.sigma)
+            for w in graph.whites
         })
         # one vertex group per vertex: the white handles and, on each black
         # b, the cyclic group on b.<b> of order sigma[b]

@@ -115,6 +115,15 @@ class StratifoldGraph:
         return StratifoldGraph(self.whites, self.blacks, edges)
 
 
+def edges_by_white(g: StratifoldGraph) -> dict[str, list[Edge]]:
+    """Each white's name -> its edges, whites and edges in name order: one
+    pass over the edges, for whole-graph passes that go white by white."""
+    at: dict[str, list[Edge]] = {w.name: [] for w in g.whites}
+    for e in g.edges:
+        at[e.white].append(e)
+    return at
+
+
 def _validate(g: StratifoldGraph) -> None:
     if not g.whites and not g.blacks:
         raise DisconnectedError("empty graph")

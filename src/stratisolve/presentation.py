@@ -32,7 +32,7 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from .errors import TreeEdgeStableError, UnknownGeneratorError, WordSyntaxError
-from .graph_model import MaximalTree, StratifoldGraph
+from .graph_model import MaximalTree, StratifoldGraph, edges_by_white
 from .snf import smith_normal_form
 from .words import EMPTY, Word, concat, free_reduce, genus_word
 
@@ -63,15 +63,13 @@ class Presentation(NamedTuple):
 
 
 def natural_presentation(g: StratifoldGraph, t: MaximalTree) -> Presentation:
-    curves_at: dict[str, list[str]] = {w.name: [] for w in g.whites}
-    for e in g.edges:
-        curves_at[e.white].append(f"c.{e.name}")
+    at = edges_by_white(g)
     gens: list[str] = [f"b.{b}" for b in g.black_names()]
     relators: list[Word] = []
     for w in g.whites:
-        curves, surface = curves_at[w.name], surface_names(w.name, w.genus)
-        gens.extend(curves)
-        gens.extend(surface)
+        curves = [f"c.{e.name}" for e in at[w.name]]
+        surface = surface_names(w.name, w.genus)
+        gens.extend((*curves, *surface))
         relators.append(concat(tuple((c, 1) for c in curves),
                                genus_word(surface, w.genus)))
     gens.extend(f"t.{e.name}" for e in g.edges if e.name not in t.tree_edges)

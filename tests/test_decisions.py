@@ -6,6 +6,7 @@ import pytest
 from test_acceptance import _random_valid_graph
 
 import stratisolve.decisions as decisions
+import stratisolve.graph_model as graph_model
 import stratisolve.serre_solver as serre_solver
 from stratisolve.decisions import (
     PruneReport,
@@ -22,7 +23,7 @@ from stratisolve.errors import (
     NotZeroTerminalError,
     UndeterminedError,
 )
-from stratisolve.graph_model import parse_graph, serialize_graph
+from stratisolve.graph_model import StratifoldGraph, parse_graph, serialize_graph
 from stratisolve.oracle import Budget
 from stratisolve.pipeline import compile
 
@@ -319,3 +320,38 @@ def test_prune_agrees_with_its_old_definition(fixtures):
             reached["multi-step success"] += success and len(steps) > 1
             reached["stop after step 1"] += not success and len(steps) > 1
     assert min(reached.values()) > 0, reached
+
+
+def test_prune_splits_components_without_validating_them(fixtures, monkeypatch):
+    """A component of a valid tree minus a deleted terminal pair is valid,
+    so ``prune`` builds it without ``_validate``."""
+    multi = _screened_tree(random.Random(29), 5)
+    graphs = (fixtures["FX-S2W"], _DELETE_THEN_STOP, multi)
+    expected = [_prune_outcome(prune, g, None) for g in graphs]
+    assert len(expected[2][0]) > 1 and expected[2][2]
+
+    def refuse(*args):
+        raise AssertionError("a pruning step validated its component")
+
+    monkeypatch.setattr(graph_model, "_validate", refuse)
+    assert [_prune_outcome(prune, g, None) for g in graphs] == expected
+
+
+def test_decisions_scan_no_graph_per_vertex(fixtures, monkeypatch):
+    """The screen and the decisions read each vertex's edges from one
+    grouping of the edges, not from a scan of the graph per vertex."""
+    graphs = (*fixtures.values(), _DELETE_THEN_STOP)
+
+    def outcomes():
+        return [(_screen(g), _prune_outcome(prune, g, None),
+                 _outcome(is_simply_connected, g, None),
+                 _outcome(wedge_check, g, None)) for g in graphs]
+
+    expected = outcomes()
+
+    def refuse(*args):
+        raise AssertionError("a decision scanned the graph per vertex")
+
+    for name in ("edges_at_white", "edges_at_black", "white"):
+        monkeypatch.setattr(StratifoldGraph, name, refuse)
+    assert outcomes() == expected

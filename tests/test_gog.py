@@ -17,7 +17,7 @@ from stratisolve.gog import (
     edge_group_order,
     to_loop_word,
 )
-from stratisolve.graph_model import canonical_tree, parse_graph
+from stratisolve.graph_model import StratifoldGraph, canonical_tree, parse_graph
 from stratisolve.local_groups import (
     TRIVIAL_HANDLE,
     FreeProductOfCyclics,
@@ -47,7 +47,7 @@ def test_edge_group_order():
 
 def test_build_white_handle_uses_sigma():
     g = parse_graph(Z3)
-    wh = build_white_handle(g, "w1", {"b1": 3})
+    wh = build_white_handle(g.white("w1"), g.edges_at_white("w1"), {"b1": 3})
     # disk: single boundary of order 1 is killed, trivial handle
     assert wh.handle is TRIVIAL_HANDLE
     assert wh.boundary_images["c.e1"] == ()
@@ -74,7 +74,7 @@ def _handle_mismatches(g, sigma):
     against its edge-group order."""
     found = set()
     for w in g.white_names():
-        wh = build_white_handle(g, w, sigma)
+        wh = build_white_handle(g.white(w), g.edges_at_white(w), sigma)
         if not isinstance(wh.handle, FreeProductOfCyclics):
             continue
         for e in g.edges_at_white(w):
@@ -101,6 +101,31 @@ def test_boundary_mismatches_agree_with_the_handles(genus):
             assert rule == _handle_mismatches(g, sigma), (genus, orders)
             specs += 1
     assert specs == 9331
+
+
+def _handles(gog):
+    return {w: (type(wh.handle), dict(wh.handle.letters), dict(wh.boundary_images))
+            for w, wh in gog.white_handles.items()}
+
+
+def test_whole_graph_passes_group_the_edges_once(fixtures, monkeypatch):
+    """The graph of groups and ``boundary_mismatches`` read each white's
+    edges from one grouping of the edges, not from a scan per white."""
+    gogs = [compile(g).gog for g in (*fixtures.values(), _disk_capped_chain(8))]
+    sigmas = [(gog.sigma, dict.fromkeys(gog.sigma, 0)) for gog in gogs]
+    handles = [_handles(gog) for gog in gogs]
+    mismatches = [[list(boundary_mismatches(gog.graph, s)) for s in ss]
+                  for gog, ss in zip(gogs, sigmas)]
+    assert any(any(m) for m in mismatches)
+
+    def refuse(*args):
+        raise AssertionError("a whole-graph pass scanned the graph per white")
+
+    monkeypatch.setattr(StratifoldGraph, "edges_at_white", refuse)
+    monkeypatch.setattr(StratifoldGraph, "white", refuse)
+    for gog, ss, expected, found in zip(gogs, sigmas, handles, mismatches):
+        assert _handles(GraphOfGroups(gog.graph, gog.tree, gog.sigma)) == expected
+        assert [list(boundary_mismatches(gog.graph, s)) for s in ss] == found
 
 
 def test_edge_membership_black_side():
